@@ -1,14 +1,13 @@
 // Host-time microbenchmarks (google-benchmark) for LAKE's core
-// primitives: command serialization, the lakeShm allocator, the
-// lock-free feature map, the policy VM, the AES-GCM cipher, and the
-// full remoted-call path. These measure the *simulator's* real cost,
+// primitives: command serialization, the lakeShm allocator, registry
+// capture, the policy VM, the AES-GCM cipher, and the full
+// remoted-call path. These measure the *simulator's* real cost,
 // complementing the virtual-time figure harnesses.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
-#include "base/lockfree_map.h"
 #include "base/ring_buffer.h"
 #include "core/lake.h"
 #include "crypto/gcm.h"
@@ -106,15 +105,6 @@ BM_ShmAllocFragmented(benchmark::State &state)
     state.SetItemsProcessed(state.iterations()); // alloc+free pairs
 }
 BENCHMARK(BM_ShmAllocFragmented)->Arg(16)->Arg(256)->Arg(4096);
-
-void
-BM_LockFreeMapAdd(benchmark::State &state)
-{
-    LockFreeMap map(64);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(map.add(42, 1));
-}
-BENCHMARK(BM_LockFreeMapAdd);
 
 void
 BM_RegistryCaptureCommit(benchmark::State &state)

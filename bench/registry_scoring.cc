@@ -6,23 +6,24 @@
 // Four same-subsystem registries (the case study's per-device layout)
 // share one LinnOS MLP, and every arm's timed loop runs the complete
 // capture→commit→score data path an instrumentation site pays — the
-// arms differ only in dispatch shape and storage plane. The sync arm
-// captures into the legacy hashmap plane, commits, gathers the
-// committed vector out of the ring, and calls scoreFeatures per
-// vector: every I/O pays a full batch-1 classifier dispatch. The
-// async arm runs the same legacy capture/commit/gather but submits
-// through the ScoreServer, which coalesces across the registries into
-// max_batch-deep dispatches on the ThreadPool-parallel GEMM
-// substrate; throughput is host-measured, and the queue latency each
-// vector paid for its batching win is virtual-time exact.
+// arms differ only in dispatch shape and in which half of the Table 1
+// API scores. Every arm captures column-indexed into the registries'
+// shm-carved column stores (DESIGN.md §12). The sync arm commits,
+// materializes the committed vector through the vector API
+// (getFeatures), and calls scoreFeatures per vector: every I/O pays a
+// full batch-1 classifier dispatch. The async arm runs the same
+// capture/commit/materialize but submits through the ScoreServer,
+// which coalesces across the registries into max_batch-deep dispatches
+// on the ThreadPool-parallel GEMM substrate; throughput is
+// host-measured, and the queue latency each vector paid for its
+// batching win is virtual-time exact.
 //
-// The third arm runs the same workload over the zero-copy SoA data
-// plane (DESIGN.md §12): column-indexed captures into shm-carved
-// SoaStores, commit-time LinnOS float encoding, and submitView()
-// batches that reach the GEMM substrate as strided MatrixViews — no
-// per-vector gather, no per-flush pack. A metrics-instrumented
-// ablation then isolates the pack cost: bytes staged per scored
-// vector and capture ns per feature, legacy vs SoA.
+// The third arm scores through batch views instead: commit-time LinnOS
+// float encoding and submitView() batches that reach the GEMM
+// substrate as strided MatrixViews — no per-vector gather, no
+// per-flush pack. A metrics-instrumented ablation then isolates the
+// pack cost: bytes staged per scored vector, vector API vs views, and
+// capture ns per feature.
 //
 // All arms classify identical vectors with the same model, so the
 // bench also cross-checks the scatter: every async score must equal
@@ -112,7 +113,11 @@ main(int argc, char **argv)
     ml::Mlp model(ml::MlpConfig::linnos(), model_rng);
     ml::CpuMlp mlp(model, kernel_cpu);
 
-    registry::RegistryManager mgr(clock);
+    // Both managers carve their registries' column stores from one
+    // arena; the view arm's registries get slack for the deepest
+    // coalesced batch of pinned views.
+    shm::ShmArena arena(32ull << 20);
+    registry::RegistryManager mgr(clock, arena);
     registry::Classifier classify =
         [&mlp](const std::vector<registry::FeatureVector> &fvs) {
             ml::Matrix x = featurize(fvs);
@@ -141,21 +146,21 @@ main(int argc, char **argv)
         }
     }
 
-    // Capture handles onto the legacy hashmap plane: both legacy arms
-    // capture, commit, and gather through them, so their timed loops
-    // pay the same data-plane shape an instrumentation site does.
-    std::vector<registry::Registry *> legacy_regs;
-    std::vector<registry::CaptureHandle> legacy_caps;
+    // Capture handles for the vector-API arms: both capture, commit,
+    // and materialize through them, so their timed loops pay the same
+    // data-path shape an instrumentation site does.
+    std::vector<registry::Registry *> vec_regs;
+    std::vector<registry::CaptureHandle> vec_caps;
     for (std::size_t d = 0; d < kDevices; ++d) {
-        legacy_regs.push_back(mgr.find(names[d], kSys));
-        legacy_caps.push_back(mgr.captureHandle(names[d], kSys));
-        legacy_caps[d].beginFvCapture(0);
+        vec_regs.push_back(mgr.find(names[d], kSys));
+        vec_caps.push_back(mgr.captureHandle(names[d], kSys));
+        vec_caps[d].beginFvCapture(0);
     }
 
     // One simulated I/O completion: the same feature draws on every
-    // plane (schema column 0 is pend_ios, 1..4 the latency history),
-    // so a fixed seed replays the identical vector stream through the
-    // sync, async, and SoA arms and scores can be compared bitwise.
+    // arm (schema column 0 is pend_ios, 1..4 the latency history), so
+    // a fixed seed replays the identical vector stream through the
+    // sync, async, and view arms and scores can be compared bitwise.
     auto capture_one = [&](registry::CaptureHandle &cap, Rng &rng) {
         cap.captureFeatureCol(
             0, static_cast<std::uint64_t>(rng.uniformInt(0, 31)));
@@ -169,35 +174,35 @@ main(int argc, char **argv)
     // its timed loop so none pays the others' cold caches.
     const std::size_t kWarmup = 512;
 
-    // ---- sync arm: capture -> commit -> gather -> score, batch 1 ----
+    // ---- sync arm: capture -> commit -> materialize -> score, batch 1 -
     std::vector<float> sync_scores(vectors);
     Rng warm_rng(99);
     for (std::size_t i = 0; i < kWarmup; ++i) {
         std::size_t d = i % kDevices;
-        capture_one(legacy_caps[d], warm_rng);
+        capture_one(vec_caps[d], warm_rng);
         Nanos t = clock.now();
-        legacy_caps[d].commitFvCapture(t);
+        vec_caps[d].commitFvCapture(t);
         std::vector<registry::FeatureVector> got =
-            legacy_regs[d]->getFeatures(t);
-        legacy_regs[d]->scoreFeatures(got, t);
+            vec_regs[d]->getFeatures(t);
+        vec_regs[d]->scoreFeatures(got, t);
         clock.advance(1_us);
     }
     Rng fv_rng(7);
     double t0 = now();
     for (std::size_t i = 0; i < vectors; ++i) {
         std::size_t d = i % kDevices;
-        capture_one(legacy_caps[d], fv_rng);
+        capture_one(vec_caps[d], fv_rng);
         Nanos t = clock.now();
-        legacy_caps[d].commitFvCapture(t);
-        // The gather: copy the just-committed vector out of the ring.
+        vec_caps[d].commitFvCapture(t);
+        // The gather: materialize the just-committed vector.
         std::vector<registry::FeatureVector> got =
-            legacy_regs[d]->getFeatures(t);
+            vec_regs[d]->getFeatures(t);
         if (got.size() != 1) {
             std::fprintf(stderr, "sync gather %zu: got %zu vectors\n",
                          i, got.size());
             return 1;
         }
-        sync_scores[i] = legacy_regs[d]->scoreFeatures(got, t)[0];
+        sync_scores[i] = vec_regs[d]->scoreFeatures(got, t)[0];
         clock.advance(1_us);
     }
     double sync_s = now() - t0;
@@ -232,10 +237,10 @@ main(int argc, char **argv)
     Rng warm_rng2(99);
     for (std::size_t i = 0; i < kWarmup; ++i) {
         std::size_t d = i % kDevices;
-        capture_one(legacy_caps[d], warm_rng2);
+        capture_one(vec_caps[d], warm_rng2);
         Nanos t = clock.now();
-        legacy_caps[d].commitFvCapture(t);
-        server->submit(names[d], kSys, legacy_regs[d]->getFeatures(t),
+        vec_caps[d].commitFvCapture(t);
+        server->submit(names[d], kSys, vec_regs[d]->getFeatures(t),
                        0, nullptr);
         clock.advance(1_us);
     }
@@ -245,13 +250,13 @@ main(int argc, char **argv)
     t0 = now();
     for (std::size_t i = 0; i < vectors; ++i) {
         std::size_t d = i % kDevices;
-        capture_one(legacy_caps[d], fv_rng2);
+        capture_one(vec_caps[d], fv_rng2);
         Nanos t = clock.now();
-        legacy_caps[d].commitFvCapture(t);
-        // Same capture/commit/gather as the sync arm; only the
-        // dispatch differs — the gathered vector moves into the queue.
+        vec_caps[d].commitFvCapture(t);
+        // Same capture/commit/materialize as the sync arm; only the
+        // dispatch differs — the vector moves into the queue.
         Status sub = server->submit(
-            names[d], kSys, legacy_regs[d]->getFeatures(t), 0,
+            names[d], kSys, vec_regs[d]->getFeatures(t), 0,
             [&ctx, i](const registry::ScoreResult &r) {
                 ++ctx.scored;
                 if (!r.status.isOk() || r.scores.size() != 1 ||
@@ -273,45 +278,35 @@ main(int argc, char **argv)
     double async_rate = static_cast<double>(vectors) / async_s;
     double speedup = async_rate / sync_rate;
 
-    // ---- SoA arm: columnar capture -> zero-copy view scoring --------
-    // A second manager on the SoA plane running the same
-    // capture→commit→score loop: column captures land in shm, the
-    // commit seals the slot, and submitView() hands the server a
-    // pinned window — no per-vector gather, no per-flush pack.
-    shm::ShmArena arena(32ull << 20);
-    registry::RegistryManager soa_mgr(clock);
-    registry::SoaConfig soa_cfg;
-    soa_cfg.enabled = true;
-    soa_cfg.slack = max_batch * 2;
-    soa_cfg.applyEnv();
-    st = soa_mgr.enableSoa(soa_cfg, &arena);
-    if (!st.isOk()) {
-        std::fprintf(stderr, "enableSoa: %s\n", st.toString().c_str());
-        return 1;
-    }
+    // ---- view arm: column capture -> zero-copy view scoring ---------
+    // A second manager running the same capture→commit→score loop:
+    // the commit seals the slot with its float row encoded, and
+    // submitView() hands the server a pinned window — no per-vector
+    // gather, no per-flush pack.
+    registry::RegistryManager view_mgr(clock, arena, max_batch * 2);
     registry::ViewClassifier view_classify =
         [&mlp](const registry::FvBatchView &v) {
             std::vector<int> c = mlp.classify(v.matrixViews());
             return std::vector<float>(c.begin(), c.end());
         };
-    std::vector<registry::Registry *> soa_regs;
-    std::vector<registry::CaptureHandle> soa_caps;
+    std::vector<registry::Registry *> view_regs;
+    std::vector<registry::CaptureHandle> view_caps;
     for (std::size_t d = 0; d < kDevices; ++d) {
         registry::Schema schema;
         schema.add("pend_ios");
         for (const std::string &f : kLatFeature)
             schema.add(f);
-        st = soa_mgr.createRegistry(names[d], kSys, schema,
+        st = view_mgr.createRegistry(names[d], kSys, schema,
                                     max_batch * 4);
         if (!st.isOk()) {
-            std::fprintf(stderr, "createRegistry(soa): %s\n",
+            std::fprintf(stderr, "createRegistry(view): %s\n",
                          st.toString().c_str());
             return 1;
         }
-        registry::Registry *reg = soa_mgr.find(names[d], kSys);
+        registry::Registry *reg = view_mgr.find(names[d], kSys);
         // Seal-time encoder: the LinnOS digit encoding runs once per
         // commit; scoring reads finished float rows out of shm.
-        reg->soa()->setFloatEncoder(
+        reg->store().setFloatEncoder(
             storage::kLinnosFeatures,
             [](const registry::SoaStore::RowReader &row, float *out) {
                 std::array<std::uint32_t, storage::kLinnosHistory>
@@ -331,41 +326,41 @@ main(int argc, char **argv)
                          st.toString().c_str());
             return 1;
         }
-        soa_regs.push_back(reg);
-        soa_caps.push_back(soa_mgr.captureHandle(names[d], kSys));
-        soa_caps[d].beginFvCapture(0);
+        view_regs.push_back(reg);
+        view_caps.push_back(view_mgr.captureHandle(names[d], kSys));
+        view_caps[d].beginFvCapture(0);
     }
-    st = soa_mgr.enableScoring(cfg);
+    st = view_mgr.enableScoring(cfg);
     if (!st.isOk()) {
-        std::fprintf(stderr, "enableScoring(soa): %s\n",
+        std::fprintf(stderr, "enableScoring(view): %s\n",
                      st.toString().c_str());
         return 1;
     }
-    registry::ScoreServer *soa_server = soa_mgr.scorer();
+    registry::ScoreServer *view_server = view_mgr.scorer();
 
     AsyncCtx ctx2;
     ctx2.expect = &sync_scores;
-    // Same seed replay as the legacy arms, so every SoA score must
-    // equal the sync score of the same vector.
+    // Same seed replay as the vector-API arms, so every view score
+    // must equal the sync score of the same vector.
     Rng warm_rng3(99);
     for (std::size_t i = 0; i < kWarmup; ++i) {
         std::size_t d = i % kDevices;
-        capture_one(soa_caps[d], warm_rng3);
-        soa_caps[d].commitFvCapture(clock.now());
-        soa_server->submitView(names[d], kSys, soa_regs[d]->tailView(1),
+        capture_one(view_caps[d], warm_rng3);
+        view_caps[d].commitFvCapture(clock.now());
+        view_server->submitView(names[d], kSys, view_regs[d]->tailView(1),
                                0, nullptr);
         clock.advance(1_us);
     }
-    soa_server->flushAll(clock.now());
-    const std::uint64_t soa_warm_flushes = soa_server->flushes();
+    view_server->flushAll(clock.now());
+    const std::uint64_t view_warm_flushes = view_server->flushes();
     Rng fv_rng3(7);
     t0 = now();
     for (std::size_t i = 0; i < vectors; ++i) {
         std::size_t d = i % kDevices;
-        capture_one(soa_caps[d], fv_rng3);
-        soa_caps[d].commitFvCapture(clock.now());
-        Status sub = soa_server->submitView(
-            names[d], kSys, soa_regs[d]->tailView(1), 0,
+        capture_one(view_caps[d], fv_rng3);
+        view_caps[d].commitFvCapture(clock.now());
+        Status sub = view_server->submitView(
+            names[d], kSys, view_regs[d]->tailView(1), 0,
             [&ctx2, i](const registry::ScoreResult &r) {
                 ++ctx2.scored;
                 if (!r.status.isOk() || r.scores.size() != 1 ||
@@ -381,14 +376,14 @@ main(int argc, char **argv)
         }
         clock.advance(1_us);
     }
-    soa_server->flushAll(clock.now());
-    double soa_s = now() - t0;
-    double soa_rate = static_cast<double>(vectors) / soa_s;
-    double soa_speedup = soa_rate / async_rate;
+    view_server->flushAll(clock.now());
+    double view_s = now() - t0;
+    double view_rate = static_cast<double>(vectors) / view_s;
+    double view_speedup = view_rate / async_rate;
 
     // ---- pack-cost ablation (metrics-instrumented, untimed) ---------
-    // Bytes staged per scored vector and capture ns per feature,
-    // legacy vs SoA. Runs after the timed arms so the metric hooks
+    // Bytes staged per scored vector, vector API vs views, and capture
+    // ns per feature. Runs after the timed arms so the metric hooks
     // (steady_clock capture timers) never perturb the throughput
     // numbers.
     auto &met = obs::Metrics::global();
@@ -399,15 +394,15 @@ main(int argc, char **argv)
     Rng abl_rng0(1234);
     for (std::size_t i = 0; i < abl_n; ++i) {
         std::size_t d = i % kDevices;
-        capture_one(legacy_caps[d], abl_rng0);
+        capture_one(vec_caps[d], abl_rng0);
         Nanos t = clock.now();
-        legacy_caps[d].commitFvCapture(t);
+        vec_caps[d].commitFvCapture(t);
         std::vector<registry::FeatureVector> got =
-            legacy_regs[d]->getFeatures(t);
-        legacy_regs[d]->scoreFeatures(got, t);
+            vec_regs[d]->getFeatures(t);
+        vec_regs[d]->scoreFeatures(got, t);
         clock.advance(1_us);
     }
-    double pack_legacy =
+    double pack_vector =
         static_cast<double>(met.reg_pack_bytes.get() - pack0) /
         static_cast<double>(abl_n);
 
@@ -415,14 +410,14 @@ main(int argc, char **argv)
     Rng abl_rng(1234);
     for (std::size_t i = 0; i < abl_n; ++i) {
         std::size_t d = i % kDevices;
-        capture_one(soa_caps[d], abl_rng);
-        soa_caps[d].commitFvCapture(clock.now());
-        soa_server->submitView(names[d], kSys, soa_regs[d]->tailView(1),
+        capture_one(view_caps[d], abl_rng);
+        view_caps[d].commitFvCapture(clock.now());
+        view_server->submitView(names[d], kSys, view_regs[d]->tailView(1),
                                0, nullptr);
         clock.advance(1_us);
     }
-    soa_server->flushAll(clock.now());
-    double pack_soa =
+    view_server->flushAll(clock.now());
+    double pack_view =
         static_cast<double>(met.reg_pack_bytes.get() - pack0) /
         static_cast<double>(abl_n);
 
@@ -430,34 +425,23 @@ main(int argc, char **argv)
     std::uint64_t cap0 = met.reg_capture_ns.get();
     Rng cap_rng(77);
     for (std::size_t i = 0; i < abl_n; ++i)
-        capture_one(soa_caps[i % kDevices], cap_rng);
-    double capture_ns_soa =
-        static_cast<double>(met.reg_capture_ns.get() - cap0) /
-        static_cast<double>(cap_features);
-
-    registry::CaptureHandle legacy_cap = mgr.captureHandle(names[0], kSys);
-    legacy_cap.beginFvCapture(clock.now());
-    cap0 = met.reg_capture_ns.get();
-    Rng cap_rng2(77);
-    for (std::size_t i = 0; i < abl_n; ++i)
-        capture_one(legacy_cap, cap_rng2);
-    double capture_ns_legacy =
+        capture_one(view_caps[i % kDevices], cap_rng);
+    double capture_ns =
         static_cast<double>(met.reg_capture_ns.get() - cap0) /
         static_cast<double>(cap_features);
     met.setEnabled(false);
 
-    std::printf("%-22s %12s %14s %12s\n", "arm", "vectors",
+    std::printf("%-24s %12s %14s %12s\n", "arm", "vectors",
                 "vectors/sec", "host sec");
-    std::printf("%-22s %12zu %14.0f %12.3f\n", "sync per-call", vectors,
-                sync_rate, sync_s);
-    std::printf("%-22s %12zu %14.0f %12.3f\n", "async coalesced",
+    std::printf("%-24s %12zu %14.0f %12.3f\n", "sync per-call vector",
+                vectors, sync_rate, sync_s);
+    std::printf("%-24s %12zu %14.0f %12.3f\n", "async coalesced vector",
                 vectors, async_rate, async_s);
-    std::printf("%-22s %12zu %14.0f %12.3f\n", "async soa zero-copy",
-                vectors, soa_rate, soa_s);
-    std::printf("\nsoa vs async %.2fx   pack bytes/vector legacy %.1f "
-                "soa %.1f   capture ns/feature legacy %.1f soa %.1f\n",
-                soa_speedup, pack_legacy, pack_soa, capture_ns_legacy,
-                capture_ns_soa);
+    std::printf("%-24s %12zu %14.0f %12.3f\n", "async view zero-copy",
+                vectors, view_rate, view_s);
+    std::printf("\nview vs async vector %.2fx   pack bytes/vector vector "
+                "%.1f view %.1f   capture ns/feature %.1f\n",
+                view_speedup, pack_vector, pack_view, capture_ns);
     std::printf("\nspeedup %.2fx   flushes %llu   avg batch %.1f   "
                 "p99 queue %.1f us (virtual)   mismatches %zu\n",
                 speedup,
@@ -468,10 +452,10 @@ main(int argc, char **argv)
     bench::expectation(
         "coalesced batches amortize per-dispatch overhead onto the "
         "blocked GEMM path (the cached-pack substrate narrows the gap "
-        "by making per-call dispatch cheaper too); the SoA plane "
-        "removes the gather/pack step entirely (0 bytes staged per "
-        "scored vector) for >= 1.3x scored-vectors/sec over the async "
-        "baseline even while paying capture+commit in its timed loop");
+        "by making per-call dispatch cheaper too); scoring through "
+        "batch views removes the materialize/pack step entirely (0 "
+        "bytes staged per scored vector) while paying the same "
+        "capture+commit in its timed loop");
 
     bench::JsonWriter j;
     j.beginObject();
@@ -498,27 +482,26 @@ main(int argc, char **argv)
     j.key("p50_queue_us_virtual").value(ctx.queue_us.percentile(50.0));
     j.key("p99_queue_us_virtual").value(ctx.queue_us.percentile(99.0));
     j.endObject();
-    j.key("soa").beginObject();
-    j.key("vectors_per_sec").value(soa_rate);
-    j.key("host_seconds").value(soa_s);
+    j.key("view").beginObject();
+    j.key("vectors_per_sec").value(view_rate);
+    j.key("host_seconds").value(view_s);
     j.key("flushes").value(static_cast<std::size_t>(
-        soa_server->flushes() - soa_warm_flushes));
+        view_server->flushes() - view_warm_flushes));
     j.key("avg_batch").value(ctx2.batch_sizes.mean());
     j.key("p50_queue_us_virtual").value(ctx2.queue_us.percentile(50.0));
     j.key("p99_queue_us_virtual").value(ctx2.queue_us.percentile(99.0));
-    j.key("speedup_vs_async").value(soa_speedup);
+    j.key("speedup_vs_async").value(view_speedup);
     j.endObject();
     j.key("ablation").beginObject();
-    j.key("pack_bytes_per_vector_legacy").value(pack_legacy);
-    j.key("pack_bytes_per_vector_soa").value(pack_soa);
-    j.key("capture_ns_per_feature_legacy").value(capture_ns_legacy);
-    j.key("capture_ns_per_feature_soa").value(capture_ns_soa);
+    j.key("pack_bytes_per_vector_vector").value(pack_vector);
+    j.key("pack_bytes_per_vector_view").value(pack_view);
+    j.key("capture_ns_per_feature").value(capture_ns);
     j.endObject();
     j.key("speedup").value(speedup);
     j.key("scored").value(ctx.scored);
     j.key("mismatches").value(ctx.mismatches);
-    j.key("soa_scored").value(ctx2.scored);
-    j.key("soa_mismatches").value(ctx2.mismatches);
+    j.key("view_scored").value(ctx2.scored);
+    j.key("view_mismatches").value(ctx2.mismatches);
     bench::provenance(j);
     j.endObject();
     if (!j.writeFile(out_path)) {
@@ -529,7 +512,7 @@ main(int argc, char **argv)
 
     // The smoke gate is correctness, not speed: every vector scored
     // exactly once on every arm, every score identical to its sync
-    // counterpart, and the SoA path staged zero pack bytes.
+    // counterpart, and the view path staged zero pack bytes.
     if (ctx.scored != vectors || ctx.mismatches != 0) {
         std::fprintf(stderr,
                      "FAIL: scored %zu/%zu vectors, %zu mismatches\n",
@@ -538,14 +521,14 @@ main(int argc, char **argv)
     }
     if (ctx2.scored != vectors || ctx2.mismatches != 0) {
         std::fprintf(stderr,
-                     "FAIL: soa scored %zu/%zu vectors, %zu mismatches\n",
+                     "FAIL: view scored %zu/%zu vectors, %zu mismatches\n",
                      ctx2.scored, vectors, ctx2.mismatches);
         return 1;
     }
-    if (pack_soa != 0.0) {
+    if (pack_view != 0.0) {
         std::fprintf(stderr,
-                     "FAIL: soa path staged %.1f pack bytes/vector\n",
-                     pack_soa);
+                     "FAIL: view path staged %.1f pack bytes/vector\n",
+                     pack_view);
         return 1;
     }
     return 0;

@@ -44,9 +44,14 @@ ctest --test-dir "$BUILD" --output-on-failure -L perf
 ctest --test-dir "$BUILD" --output-on-failure -L obs
 
 # The registry suite (ctest -L registry) hammers multi-threaded
-# capture-while-commit and concurrent ScoreServer submission — the
-# lock-free capture map plus the scoring service's two-lock flush path
-# are precisely what `bench/sanitize.sh thread` exists to sweep.
+# capture-while-commit and concurrent ScoreServer submission: the
+# column store's relaxed-atomic lanes written from many threads while
+# a capture is open, slot recycling deferred behind pinned batch views
+# across window wraps and truncates, the scoring service's two-lock
+# flush path, and the registry_scoring smoke's capture→commit→
+# submitView fast path. The atomic_ref lanes, the pin/unpin lifecycle
+# and the flush locks are precisely what `bench/sanitize.sh thread`
+# exists to sweep (and ASan for the shm carve-out arithmetic).
 ctest --test-dir "$BUILD" --output-on-failure -L registry
 
 # The streaming-DMA suite (ctest -L dma) drives the buffer pool's
@@ -64,16 +69,6 @@ ctest --test-dir "$BUILD" --output-on-failure -L dma
 # exists to sweep, and the serve_slo smoke adds a full admission +
 # DRR + shed sweep on top.
 ctest --test-dir "$BUILD" --output-on-failure -L serve
-
-# The SoA data-plane suite (ctest -L soa) stresses the columnar
-# capture plane: relaxed-atomic column lanes written from many threads
-# while a capture is open, slot recycling deferred behind pinned batch
-# views across window wraps and truncates, and the registry_scoring
-# smoke's capture→commit→submitView fast path — the atomic_ref lanes
-# and the pin/unpin lifecycle are exactly what `bench/sanitize.sh
-# thread -L soa` (and ASan for the shm carve-out arithmetic) exist to
-# sweep.
-ctest --test-dir "$BUILD" --output-on-failure -L soa
 
 # The fleet suite (ctest -L fleet) runs K lakeD shards dispatching
 # concurrently from per-thread serving stacks through the shared

@@ -37,6 +37,7 @@
 #include "registry/manager.h"
 #include "serve/serve.h"
 #include "serve/traffic.h"
+#include "shm/arena.h"
 #include "storage/linnos.h"
 
 using namespace lake;
@@ -88,7 +89,9 @@ struct Stack
     Rng model_rng{42};
     ml::Mlp model{ml::MlpConfig::linnos(), model_rng};
     ml::CpuMlp mlp{model, kernel_cpu};
-    registry::RegistryManager mgr{clock};
+    /** Backs the shard registries' column stores. */
+    shm::ShmArena arena{1ull << 20};
+    registry::RegistryManager mgr{clock, arena};
     std::vector<std::string> shards;
     /** Virtual ns the classifier has executed (utilization probe). */
     Nanos busy = 0;

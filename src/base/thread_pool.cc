@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "base/env.h"
 #include "base/logging.h"
 
 namespace lake::base {
@@ -22,10 +23,9 @@ std::size_t
 ThreadPool::configuredThreads()
 {
     if (const char *env = std::getenv("LAKE_CPU_THREADS")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 1024)
-            return static_cast<std::size_t>(v);
+        std::optional<std::size_t> v = envSize("LAKE_CPU_THREADS");
+        if (v && *v >= 1 && *v <= 1024)
+            return *v;
         warn("ignoring bad LAKE_CPU_THREADS='%s' (want 1..1024)", env);
     }
     unsigned hw = std::thread::hardware_concurrency();

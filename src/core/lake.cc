@@ -12,7 +12,7 @@ Lake::Lake(LakeConfig config)
       channel_(config.channel, clock_),
       daemon_(channel_, arena_, device_, clock_),
       lib_(channel_, arena_, [this] { daemon_.processPending(); }),
-      registries_(clock_), kernel_cpu_(clock_, config.cpu)
+      registries_(clock_, arena_), kernel_cpu_(clock_, config.cpu)
 {
     obs::configure(config_.obs);
     // Bind the tracer to this system's clock while tracing is live
@@ -23,14 +23,6 @@ Lake::Lake(LakeConfig config)
         obs::Tracer::global().bindClock(&clock_);
     lib_.setRetryPolicy(config.retry);
     lib_.setPipeline(config.pipeline);
-    // SoA plane first: it changes what createRegistry() builds, and
-    // every subsystem (scoring service included) creates registries
-    // only after boot returns.
-    if (config_.soa_plane.enabled) {
-        Status s = registries_.enableSoa(config_.soa_plane, &arena_);
-        LAKE_ASSERT(s.isOk(), "SoA plane boot failed: %s",
-                    s.message().c_str());
-    }
     // The serving front end dispatches through the scoring service,
     // so enabling serving implies enabling scoring.
     if (config_.scoring.enabled || config_.serving.enabled) {

@@ -79,16 +79,6 @@ struct LakeConfig
      */
     registry::ScoringConfig scoring;
     /**
-     * Zero-copy SoA capture→score data plane (DESIGN.md §12), default
-     * off: with soa_plane.enabled false every registry keeps the
-     * legacy hashmap feature vectors and every figure bench is
-     * byte-identical to the pre-SoA runtime. When enabled, registries
-     * created after boot carve their capture windows from the lakeShm
-     * arena as columnar SoaStores and score through zero-copy batch
-     * views.
-     */
-    registry::SoaConfig soa_plane;
-    /**
      * Streaming DMA orchestration (DESIGN.md §10), default off: with
      * streaming.enabled false no orchestrator is constructed, no pool
      * is carved from the arena, and every data-path number is

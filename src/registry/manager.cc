@@ -43,33 +43,18 @@ RegistryManager::createRegistry(const std::string &name,
         return Status(Code::AlreadyExists,
                       "registry " + sys + "/" + name + " exists");
     }
-    auto reg = std::make_unique<Registry>(name, sys, std::move(schema),
-                                          window);
-    if (soa_cfg_.enabled) {
-        auto store = SoaStore::create(reg->schema(), window, soa_cfg_,
-                                      *soa_arena_);
-        if (store == nullptr) {
-            return Status(Code::ResourceExhausted,
-                          "registry " + sys + "/" + name +
-                              ": shm arena cannot fit the SoA plane");
-        }
-        reg->attachSoa(std::move(store));
+    std::unique_ptr<Registry> reg =
+        arena_ != nullptr
+            ? Registry::create(name, sys, std::move(schema), window,
+                               *arena_, slack_)
+            : std::make_unique<Registry>(name, sys, std::move(schema),
+                                         window);
+    if (reg == nullptr) {
+        return Status(Code::ResourceExhausted,
+                      "registry " + sys + "/" + name +
+                          ": shm arena cannot fit its column store");
     }
     registries_.emplace(key, std::move(reg));
-    return Status::ok();
-}
-
-Status
-RegistryManager::enableSoa(const SoaConfig &cfg, shm::ShmArena *arena)
-{
-    if (!cfg.enabled)
-        return Status::ok();
-    std::lock_guard<std::mutex> lock(reg_mu_);
-    if (soa_cfg_.enabled)
-        return Status(Code::AlreadyExists, "SoA plane already enabled");
-    LAKE_ASSERT(arena != nullptr, "enableSoa without a shm arena");
-    soa_cfg_ = cfg;
-    soa_arena_ = arena;
     return Status::ok();
 }
 

@@ -52,8 +52,7 @@ class CaptureHandle
 
     /**
      * Interns a schema feature name to its declaration-order column
-     * index — the SoA plane's hash-free capture coordinate (works on
-     * the legacy plane too; the col overloads forward by key there).
+     * index — the column store's hash-free capture coordinate.
      * Panics on an undeclared name.
      */
     std::uint32_t column(const std::string &feature) const;
@@ -115,12 +114,29 @@ struct RegistryKeyLess
 class RegistryManager
 {
   public:
-    /** @param clock clock charged for durable model operations */
-    explicit RegistryManager(Clock &clock) : clock_(clock), models_(clock) {}
+    /**
+     * Registries carve their column stores from @p arena, each with
+     * @p slack spare slots for pinned batch views (SoaStore::create).
+     * @param clock clock charged for durable model operations
+     */
+    RegistryManager(Clock &clock, shm::ShmArena &arena,
+                    std::size_t slack = SoaStore::kDefaultSlack)
+        : clock_(clock), models_(clock), arena_(&arena), slack_(slack)
+    {}
+
+    /**
+     * Without a shared arena every registry is standalone: it sizes a
+     * private arena to fit its store (the Registry constructor).
+     */
+    explicit RegistryManager(Clock &clock) : clock_(clock), models_(clock)
+    {}
 
     ~RegistryManager();
 
-    /** create_registry(name, sys, schema, window). */
+    /**
+     * create_registry(name, sys, schema, window). ResourceExhausted
+     * when the shared arena cannot fit the registry's column store.
+     */
     Status createRegistry(const std::string &name, const std::string &sys,
                           Schema schema, std::size_t window);
 
@@ -147,19 +163,6 @@ class RegistryManager
      */
     CaptureHandle captureHandle(const std::string &name,
                                 const std::string &sys);
-
-    /**
-     * Switches future createRegistry() calls onto the SoA data plane
-     * (DESIGN.md §12): each new registry's capture window is carved
-     * from @p arena as a columnar SoaStore. Registries created before
-     * this call keep the legacy plane — enable at boot, before
-     * instrumentation creates registries. AlreadyExists when already
-     * enabled; a disabled @p cfg is a no-op returning Ok.
-     */
-    Status enableSoa(const SoaConfig &cfg, shm::ShmArena *arena);
-
-    /** The SoA plane's arena; nullptr while the plane is off. */
-    shm::ShmArena *soaArena() const { return soa_arena_; }
 
     /**
      * Brings up the async scoring service (DESIGN.md §7). Idempotent
@@ -210,11 +213,11 @@ class RegistryManager
              RegistryKeyLess>
         registries_;
     ModelStore models_;
+    /** Shared arena the column stores are carved from; nullptr makes
+     *  every registry standalone. */
+    shm::ShmArena *arena_ = nullptr;
+    std::size_t slack_ = SoaStore::kDefaultSlack;
     std::unique_ptr<ScoreServer> scorer_;
-
-    /** SoA plane settings; enabled == false until enableSoa(). */
-    SoaConfig soa_cfg_;
-    shm::ShmArena *soa_arena_ = nullptr;
 };
 
 /// @name Table 1 facade

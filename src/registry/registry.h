@@ -6,12 +6,16 @@
  * One feature registry: a named combination of a model, a feature-vector
  * schema, a capture window, and the classifier/policy hooks (§5).
  *
+ * Storage is a SoaStore column store carved from a lakeShm arena
+ * (DESIGN.md §12): the registry manager's shared arena, or a private
+ * one a standalone registry sizes to fit.
+ *
  * Concurrency model, per §5.3: while a capture is open, any thread may
- * call captureFeature / captureFeatureIncr — the open vector is a
- * lock-free map. begin/commit/get/truncate/score are registry-owner
- * operations (the subsystem that created the registry), serialized by
- * the caller the way the I/O path serializes them in the paper's case
- * study.
+ * call captureFeature / captureFeatureIncr — each capture is a relaxed
+ * atomic store or add into the open slot's column lane. begin/commit/
+ * get/truncate/score are registry-owner operations (the subsystem that
+ * created the registry), serialized by the caller the way the I/O path
+ * serializes them in the paper's case study.
  */
 
 #include <cstdint>
@@ -19,10 +23,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "base/lockfree_map.h"
-#include "base/ring_buffer.h"
 #include "base/status.h"
 #include "base/time.h"
 #include "policy/policy.h"
@@ -34,6 +37,8 @@ namespace lake::registry {
 /**
  * A committed (frozen) feature vector:
  * <numfeatures, kvpair*, ts_begin, ts_end> in the paper's notation.
+ * The vector half of Table 1 (getFeatures, Classifier) hands these out,
+ * materialized from the registry's column store.
  */
 struct FeatureVector
 {
@@ -64,11 +69,11 @@ using Classifier =
     std::function<std::vector<float>(const std::vector<FeatureVector> &)>;
 
 /**
- * Zero-copy batch inference callback over the SoA plane: scores a
- * pinned batch view directly (typically via view.matrixViews() into
- * the strided GEMM/kNN substrate). Registered alongside the legacy
- * Classifier; scoreFeatures(view) prefers it and falls back to
- * materializing for a legacy-only registry.
+ * Zero-copy batch inference callback: scores a pinned batch view
+ * directly (typically via view.matrixViews() into the strided GEMM/kNN
+ * substrate). Registered alongside the vector Classifier;
+ * scoreFeatures(view) prefers it and falls back to materializing for a
+ * registry that only has a vector Classifier.
  */
 using ViewClassifier = std::function<std::vector<float>(const FvBatchView &)>;
 
@@ -79,6 +84,8 @@ class Registry
 {
   public:
     /**
+     * A standalone registry: its column store lives in a private arena
+     * sized to fit it (SoaStore::footprint with the default slack).
      * @param name   registry name (e.g. the block device, "sda1")
      * @param sys    owning subsystem (e.g. "bio_latency_prediction")
      * @param schema feature-vector format
@@ -86,6 +93,20 @@ class Registry
      */
     Registry(std::string name, std::string sys, Schema schema,
              std::size_t window);
+
+    /**
+     * A registry whose column store is carved from @p arena, with
+     * @p slack spare slots for pinned batch views (SoaStore::create).
+     * @return nullptr when the arena cannot fit the store
+     */
+    static std::unique_ptr<Registry>
+    create(std::string name, std::string sys, Schema schema,
+           std::size_t window, shm::ShmArena &arena,
+           std::size_t slack = SoaStore::kDefaultSlack);
+
+    /** Pinned in place: the store refers to this registry's schema. */
+    Registry(const Registry &) = delete;
+    Registry &operator=(const Registry &) = delete;
 
     /** Registry name. */
     const std::string &name() const { return name_; }
@@ -96,16 +117,8 @@ class Registry
     /** Ring capacity in feature vectors. */
     std::size_t window() const { return window_; }
 
-    /**
-     * Attaches the SoA data plane: capture/commit/get/truncate route
-     * through @p store instead of the legacy hashmap path. Must run
-     * before the first capture (the two planes don't interconvert
-     * mid-stream); the manager attaches at createRegistry time.
-     */
-    void attachSoa(std::unique_ptr<SoaStore> store);
-
-    /** The SoA store; nullptr on the legacy path. */
-    SoaStore *soa() const { return soa_.get(); }
+    /** The column store behind every capture, commit and view. */
+    SoaStore &store() const { return *store_; }
 
     /// @name Capture (Table 1: begin/capture/capture_incr/commit)
     /// @{
@@ -142,17 +155,16 @@ class Registry
     /**
      * Column-indexed capture: the hash-free hot path. @p col is the
      * schema declaration order index (Schema::columnOf, interned once
-     * by the instrumentation site). On the SoA plane this is a single
-     * relaxed-atomic store into the open slot's column lane; on the
-     * legacy plane it forwards to the key-based capture.
+     * by the instrumentation site); the capture is a single
+     * relaxed-atomic store into the open slot's column lane.
      */
     void captureFeatureCol(std::uint32_t col, std::uint64_t value);
     /** Column-indexed atomic increment. */
     void captureFeatureIncrCol(std::uint32_t col, std::int64_t delta);
 
     /**
-     * Freezes the open vector with end timestamp @p ts and appends it
-     * to the ring (overwriting the oldest when full). History features
+     * Freezes the open vector with end timestamp @p ts and seals it
+     * into the window (overwriting the oldest when full). History features
      * inherit entries 1..N-1 from the previous committed vector.
      * Implicitly opens the next capture at @p ts so incremental
      * counters (pending I/Os) persist across vectors.
@@ -178,17 +190,13 @@ class Registry
      */
     void truncateFeatures(std::optional<Nanos> ts = std::nullopt);
 
-    /** Committed vectors currently in the ring. */
-    std::size_t pendingCount() const
-    {
-        return soa_ ? soa_->sealedCount() : ring_.size();
-    }
+    /** Committed vectors currently in the window. */
+    std::size_t pendingCount() const { return store_->sealedCount(); }
 
     /**
-     * Pinned zero-copy view over every committed vector, oldest first
-     * (SoA plane only; panics on the legacy plane). The view keeps its
-     * slots' bytes immutable until it destructs — window wraps and
-     * truncates defer recycling behind it.
+     * Pinned zero-copy view over every committed vector, oldest first.
+     * The view keeps its slots' bytes immutable until it destructs —
+     * window wraps and truncates defer recycling behind it.
      */
     FvBatchView batchView();
 
@@ -236,8 +244,8 @@ class Registry
      * Zero-copy batch-view overload: same policy decision (batch size =
      * view.size()), dispatched to the engine's view classifier when one
      * is registered — no gather, no pack, reg_pack_bytes += 0 — and
-     * otherwise materialized through the legacy classifier (the
-     * compatibility shim, which counts its staged bytes).
+     * otherwise materialized through the vector classifier (which
+     * counts its staged bytes).
      */
     std::vector<float> scoreFeatures(const FvBatchView &view, Nanos now);
 
@@ -247,6 +255,15 @@ class Registry
     /// @}
 
   private:
+    /** Shared member set-up of both construction paths; no store yet. */
+    struct NoStore
+    {};
+    Registry(NoStore, std::string name, std::string sys, Schema schema,
+             std::size_t window);
+
+    /** Schema column of @p key; panics on an undeclared key. */
+    std::uint32_t columnFor(std::uint64_t key) const;
+
     /** Picks the engine for a batch of @p batch vectors at @p now. */
     policy::Engine decideEngine(std::size_t batch, Nanos now);
 
@@ -255,21 +272,14 @@ class Registry
     Schema schema_;
     std::size_t window_;
 
-    /** The open (capturing) vector. */
-    LockFreeMap open_values_;
     Nanos open_begin_ = 0;
     bool capture_open_ = false;
 
-    RingBuffer<FeatureVector> ring_;
-    /** Copy of the newest committed vector, for history inheritance. */
-    FeatureVector last_committed_;
-    bool has_last_ = false;
-
-    /** The SoA data plane; capture/commit/get/truncate route through
-     *  it when attached (LakeConfig.soa_plane / LAKE_SOA). */
-    std::unique_ptr<SoaStore> soa_;
-    /** Column → key, for the legacy fallback of the col capture path. */
-    std::vector<std::uint64_t> col_keys_;
+    /** A standalone registry's private arena; null when the store is
+     *  carved from a shared one. Declared before store_, which frees
+     *  into it on destruction. */
+    std::unique_ptr<shm::ShmArena> own_arena_;
+    std::unique_ptr<SoaStore> store_;
 
     Classifier cpu_classifier_;
     Classifier gpu_classifier_;

@@ -51,7 +51,7 @@ class Schema
     static constexpr std::uint32_t kNoColumn = 0xffffffffu;
 
     /**
-     * Declaration-order column index of @p key — the SoA plane's
+     * Declaration-order column index of @p key — the column store's
      * hash-free capture coordinate; kNoColumn when undeclared.
      */
     std::uint32_t columnOf(std::uint64_t key) const;

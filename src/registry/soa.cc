@@ -1,7 +1,6 @@
 #include "registry/soa.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -11,21 +10,6 @@
 namespace lake::registry {
 
 namespace {
-
-/** Parses a non-negative integer env var; @p fallback when unset/bad
- *  (same parse-safety idiom as ScoringConfig::applyEnv). */
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0')
-        return fallback;
-    return static_cast<std::size_t>(parsed);
-}
 
 /** Rounds a u64 count up to a whole number of cache lines. */
 std::size_t
@@ -45,22 +29,26 @@ roundUpFloats(std::size_t floats)
     return (floats + per_line - 1) / per_line * per_line;
 }
 
-} // namespace
+/** u64s of one open lane's cache line. */
+constexpr std::size_t kOpenLineU64s = base::kCacheLine / sizeof(std::uint64_t);
 
-void
-SoaConfig::applyEnv()
+/** u64s of one column's region: its open-lane line plus @p entries
+ *  lanes of @p capacity slots, padded to whole cache lines. */
+std::size_t
+regionU64s(std::uint32_t entries, std::size_t capacity)
 {
-    enabled = envSize("LAKE_SOA", enabled ? 1 : 0) != 0;
-    slack = envSize("LAKE_SOA_SLACK", slack);
+    return kOpenLineU64s +
+           roundUpLanes(static_cast<std::size_t>(entries) * capacity);
 }
+
+} // namespace
 
 // ---------------------------------------------------------------------------
 // SoaStore
 
 SoaStore::SoaStore(const Schema &schema, std::size_t window,
-                   const SoaConfig &cfg, shm::ShmArena &arena)
-    : schema_(schema), arena_(arena),
-      capacity_(window + 1 + cfg.slack),
+                   std::size_t slack, shm::ShmArena &arena)
+    : schema_(schema), arena_(arena), capacity_(window + 1 + slack),
       words_((schema.featureCount() + 63) / 64),
       float_cols_(schema.featureCount()),
       float_stride_(roundUpFloats(schema.featureCount())),
@@ -68,18 +56,18 @@ SoaStore::SoaStore(const Schema &schema, std::size_t window,
 {
     LAKE_ASSERT(schema_.featureCount() > 0, "soa store on empty schema");
 
-    // Column layout: per feature, entries lanes of capacity u64s, the
-    // whole region padded to cache-line multiples so concurrent writers
-    // of different columns never share a line (the arena's base
-    // alignment is already 64).
+    // Column layout: per feature, the open lane's cache line, then
+    // entries lanes of capacity u64s, the whole region padded to
+    // cache-line multiples so concurrent writers of different columns
+    // never share a line (the arena's base alignment is already 64).
     std::size_t total = 0, lane_total = 0;
     cols_.reserve(schema_.featureCount());
     keys_.reserve(schema_.featureCount());
     for (const FeatureSpec &spec : schema_.features()) {
-        cols_.push_back(Column{total, lane_total, spec.entries});
+        cols_.push_back(Column{total, total + kOpenLineU64s, lane_total,
+                               spec.entries});
         keys_.push_back(featureKey(spec.name));
-        total += roundUpLanes(static_cast<std::size_t>(spec.entries) *
-                              capacity_);
+        total += regionU64s(spec.entries, capacity_);
         lane_total += spec.entries;
     }
 
@@ -118,13 +106,25 @@ SoaStore::~SoaStore()
 
 std::unique_ptr<SoaStore>
 SoaStore::create(const Schema &schema, std::size_t window,
-                 const SoaConfig &cfg, shm::ShmArena &arena)
+                 std::size_t slack, shm::ShmArena &arena)
 {
     std::unique_ptr<SoaStore> store(
-        new SoaStore(schema, window, cfg, arena));
+        new SoaStore(schema, window, slack, arena));
     if (store->plane_ == nullptr)
         return nullptr;
     return store;
+}
+
+std::size_t
+SoaStore::footprint(const Schema &schema, std::size_t window,
+                    std::size_t slack)
+{
+    std::size_t capacity = window + 1 + slack;
+    std::size_t plane = 0;
+    for (const FeatureSpec &spec : schema.features())
+        plane += regionU64s(spec.entries, capacity);
+    return plane * sizeof(std::uint64_t) +
+           capacity * roundUpFloats(schema.featureCount()) * sizeof(float);
 }
 
 void
@@ -168,27 +168,30 @@ SoaStore::seal(Nanos ts_begin, Nanos ts_end)
     const std::uint32_t s = open_slot_;
     std::size_t fv_len = 0;
 
-    // History inheritance from the shadow of the previous sealed
-    // vector (never from a slot a window wrap may have recycled):
-    // previous entry i becomes entry i+1, exactly the legacy map walk.
+    // Presence snapshot: the ever-captured set at seal time (a captured
+    // feature stays present, so presence is monotone across vectors).
+    for (std::size_t w = 0; w < words_; ++w) {
+        std::atomic_ref<std::uint64_t> ev(ever_[w]);
+        presence_[s * words_ + w] = ev.load(std::memory_order_relaxed);
+    }
+
+    // Lane 0 is the open lane's current value; history lanes inherit
+    // from the shadow of the previous sealed vector (never from a slot
+    // a window wrap may have recycled): previous entry i becomes entry
+    // i+1.
     for (std::size_t c = 0; c < cols_.size(); ++c) {
-        if (!everCaptured(static_cast<std::uint32_t>(c)))
+        if (!presentAt(s, static_cast<std::uint32_t>(c)))
             continue;
         ++fv_len;
         const Column &col = cols_[c];
+        std::atomic_ref<std::uint64_t> open(plane_[col.open]);
+        plane_[col.base + s] = open.load(std::memory_order_relaxed);
         bool prev_present =
             has_last_ && ((last_presence_[c >> 6] >> (c & 63)) & 1u);
         for (std::uint32_t i = col.entries; i-- > 1;) {
             plane_[col.base + i * capacity_ + s] =
                 prev_present ? last_lanes_[col.lane_off + (i - 1)] : 0;
         }
-    }
-
-    // Presence snapshot: the ever-captured set at seal time (the open
-    // map is never cleared, so presence is monotone across vectors).
-    for (std::size_t w = 0; w < words_; ++w) {
-        std::atomic_ref<std::uint64_t> ev(ever_[w]);
-        presence_[s * words_ + w] = ev.load(std::memory_order_relaxed);
     }
     ts_begin_[s] = ts_begin;
     ts_end_[s] = ts_end;
@@ -233,22 +236,13 @@ SoaStore::claimLocked()
 {
     LAKE_ASSERT(!free_.empty(),
                 "soa slot pool exhausted (%zu slots): every spare slot "
-                "is pinned by an in-flight batch view — raise "
-                "SoaConfig.slack / LAKE_SOA_SLACK",
+                "is pinned by an in-flight batch view — raise the "
+                "registry's slack",
                 capacity_);
     std::uint32_t s = free_.back();
     free_.pop_back();
     state_[s] = SlotState::Open;
     open_slot_ = s;
-
-    // Lane-0 carry-forward: incremental counters (pend_ios) persist
-    // across commits because the legacy open map is never cleared.
-    for (std::size_t c = 0; c < cols_.size(); ++c) {
-        bool carry = has_last_ &&
-                     everCaptured(static_cast<std::uint32_t>(c));
-        plane_[cols_[c].base + s] =
-            carry ? last_lanes_[cols_[c].lane_off] : 0;
-    }
 }
 
 void
@@ -334,15 +328,27 @@ SoaStore::viewTail(std::size_t n)
     return v;
 }
 
-FeatureVector
-SoaStore::materializeAt(std::size_t idx) const
+std::vector<FeatureVector>
+SoaStore::materialize(std::optional<Nanos> ts) const
 {
-    std::uint32_t slot;
+    std::vector<std::uint32_t> slots;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        slot = ring_.at(idx);
+        for (std::size_t i = 0; i < ring_.size(); ++i) {
+            std::uint32_t s = ring_.at(i);
+            if (!ts.has_value()) {
+                slots.push_back(s);
+            } else if (ts_begin_[s] <= *ts && *ts <= ts_end_[s]) {
+                slots.push_back(s);
+                break;
+            }
+        }
     }
-    return materializeSlot(slot);
+    std::vector<FeatureVector> out;
+    out.reserve(slots.size());
+    for (std::uint32_t s : slots)
+        out.push_back(materializeSlot(s));
+    return out;
 }
 
 FeatureVector
@@ -351,6 +357,7 @@ SoaStore::materializeSlot(std::uint32_t slot) const
     FeatureVector fv;
     fv.ts_begin = ts_begin_[slot];
     fv.ts_end = ts_end_[slot];
+    fv.values.reserve(cols_.size());
     for (std::size_t c = 0; c < cols_.size(); ++c) {
         if (!presentAt(slot, static_cast<std::uint32_t>(c)))
             continue;

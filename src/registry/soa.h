@@ -3,38 +3,39 @@
 
 /**
  * @file
- * The zero-copy SoA capture→score data plane (DESIGN.md §12).
+ * The registry's storage: a zero-copy SoA column store (DESIGN.md §12).
  *
- * The legacy capture path stores each feature vector as a heap
- * `unordered_map<key, vector<u64>>`: every capture hashes, every commit
- * allocates, and every score gathers the map back into a dense float
- * matrix. This plane replaces that with a schema-indexed, cache-line-
- * tiled structure-of-arrays column store carved directly from the
- * lakeShm arena:
+ * Every registry keeps its capture window here: a schema-indexed,
+ * cache-line-tiled structure-of-arrays column store carved directly
+ * from a lakeShm arena.
  *
- *  - beginFvCapture claims a fixed-stride *slot*; captureFeature /
- *    captureFeatureIncr write through a column index resolved once from
- *    the Schema (no hashing, no allocation) with relaxed atomics into
- *    64-byte-aligned column regions (no false sharing between features);
- *  - commit is a slot *seal* — history-lane inheritance, a presence-mask
+ *  - captureFeature / captureFeatureIncr write through a column index
+ *    resolved once from the Schema (no hashing, no allocation) with
+ *    relaxed atomics into the column's *open lane*: one word on its own
+ *    cache line (no false sharing between features), never cleared, so
+ *    point-in-time features are overwritten and incremental counters
+ *    persist across commits;
+ *  - commit is a slot *seal* — the open lanes snapshotted into a
+ *    fixed-stride slot, history-lane inheritance, a presence-mask
  *    snapshot, one float-row encode — plus a ring-index append;
  *  - a ScoreServer batch is an FvBatchView: a pinned, zero-copy window
  *    over committed slots whose float rows feed the blocked GEMM and
  *    batched kNN substrate as strided MatrixViews, with no gather/pack
  *    step (reg_pack_bytes stays 0 on this path).
  *
- * Slot lifecycle: free → open (exactly one per store) → sealed (in the
- * window ring) → recycled. Recycling a slot still referenced by an
- * in-flight FvBatchView is *deferred* until the last view unpins it, so
- * a window wrap or truncate can never rewrite bytes a batch is reading.
+ * Slot lifecycle: free → open (the next slot to seal, exactly one per
+ * store) → sealed (in the window ring) → recycled. Recycling a slot
+ * still referenced by an in-flight FvBatchView is *deferred* until the
+ * last view unpins it, so a window wrap or truncate can never rewrite
+ * bytes a batch is reading.
  *
- * Legacy-semantics contract (the equivalence tests pin this down):
- * a column captured once stays present in every later vector (the open
- * map is never cleared), lane 0 of every ever-captured column carries
- * forward across commits (incremental counters persist), and history
- * lanes 1..E-1 inherit from the previous sealed vector exactly as
- * commitFvCapture's map walk did. materialize() therefore reproduces
- * the legacy FeatureVector bit-for-bit.
+ * Table 1 semantics (tests/registry_soa_test.cc checks them against a
+ * reference model): a column captured once stays present in every later
+ * vector, its lane 0 is the open lane's value at the seal (incremental
+ * counters persist), and history lanes 1..E-1 inherit from the previous
+ * sealed vector, entry i becoming entry i+1.
+ * materialize() turns sealed slots back into FeatureVectors for the
+ * vector half of the API.
  */
 
 #include <atomic>
@@ -56,24 +57,6 @@ namespace lake::registry {
 
 struct FeatureVector;
 class SoaStore;
-
-/** Boot-time knobs of the SoA data plane (LakeConfig.soa_plane). */
-struct SoaConfig
-{
-    /** Master switch; registries store legacy FeatureVectors while off. */
-    bool enabled = false;
-    /**
-     * Extra slots beyond window + 1 (sealed window plus the open slot)
-     * that absorb recycle deferral while batch views are in flight. A
-     * store panics only when every spare slot is pinned *and* the
-     * window wraps — size this to the deepest concurrent batch.
-     */
-    std::size_t slack = 8;
-
-    /** Applies LAKE_SOA / LAKE_SOA_SLACK environment overrides
-     *  (explicit opt-in, same idiom as ScoringConfig::applyEnv). */
-    void applyEnv();
-};
 
 /**
  * A pinned, zero-copy batch window over committed slots.
@@ -130,10 +113,10 @@ class FvBatchView
     /** Steals @p other's rows onto the back of this view. */
     void append(FvBatchView other);
 
-    /** Legacy-format copy of every row (the compatibility shim). */
+    /** FeatureVector copy of every row (the vector-API path). */
     std::vector<FeatureVector> materialize() const;
 
-    /** Bytes a legacy gather of this batch would have staged. */
+    /** Bytes a FeatureVector gather of this batch would have staged. */
     std::size_t packBytesAvoided() const;
 
   private:
@@ -153,16 +136,16 @@ class FvBatchView
 };
 
 /**
- * The columnar slot store backing one registry's capture plane.
+ * The columnar slot store backing one registry.
  *
  * Layout, carved in one arena allocation: per schema column c (declared
- * order) a region of entries(c) lanes × capacity slots of u64, each
- * region 64-byte aligned and padded — concurrent captures of different
- * features never share a cache line, and only lane 0 of the single open
- * slot is ever written concurrently (via relaxed atomic_ref; see
- * DESIGN.md §12 for why relaxed suffices). The float plane (capacity ×
- * roundUp(floatCols, 16) floats) is carved lazily at the first seal so
- * stores that never score pay no float memory.
+ * order) a region of one open-lane cache line plus entries(c) lanes ×
+ * capacity slots of u64, each region 64-byte aligned and padded —
+ * concurrent captures of different features never share a cache line,
+ * and only the open lanes are ever written concurrently (via relaxed
+ * atomic_ref; see DESIGN.md §12 for why relaxed suffices). The float
+ * plane (capacity × roundUp(floatCols, 16) floats) is carved lazily at
+ * the first seal so stores that never score pay no float memory.
  *
  * Threading: set()/add() are callable from any thread while a capture
  * is open (same contract as Registry::captureFeature). seal(),
@@ -199,15 +182,31 @@ class SoaStore
         std::function<void(const RowReader &row, float *out)>;
 
     /**
+     * Default spare slots beyond window + 1 (sealed window plus the
+     * open slot). They absorb recycle deferral while batch views are in
+     * flight: a store panics only when every spare slot is pinned *and*
+     * the window wraps, so size slack to the deepest concurrent batch.
+     */
+    static constexpr std::size_t kDefaultSlack = 8;
+
+    /**
      * Carves a store from @p arena. @p window is the sealed-slot ring
      * capacity (same meaning as the registry window); total slots are
-     * window + 1 + cfg.slack.
+     * window + 1 + @p slack.
      * @return nullptr when the arena cannot fit the column plane
      */
     static std::unique_ptr<SoaStore> create(const Schema &schema,
                                             std::size_t window,
-                                            const SoaConfig &cfg,
+                                            std::size_t slack,
                                             shm::ShmArena &arena);
+
+    /**
+     * Arena bytes a store of this shape takes with the default float
+     * encoding: the column plane plus the float plane carved at the
+     * first seal.
+     */
+    static std::size_t footprint(const Schema &schema, std::size_t window,
+                                 std::size_t slack);
 
     ~SoaStore();
 
@@ -217,22 +216,20 @@ class SoaStore
     /// @name Capture plane (any thread while a capture is open)
     /// @{
 
-    /** Sets column @p col lane 0 of the open slot (relaxed atomic). */
+    /** Sets column @p col's open lane (relaxed atomic). */
     void
     set(std::uint32_t col, std::uint64_t value)
     {
-        std::atomic_ref<std::uint64_t> lane(
-            plane_[cols_[col].base + open_slot_]);
+        std::atomic_ref<std::uint64_t> lane(plane_[cols_[col].open]);
         lane.store(value, std::memory_order_relaxed);
         markEver(col);
     }
 
-    /** Adds @p delta to column @p col lane 0 (relaxed atomic RMW). */
+    /** Adds @p delta to column @p col's open lane (relaxed atomic RMW). */
     void
     add(std::uint32_t col, std::int64_t delta)
     {
-        std::atomic_ref<std::uint64_t> lane(
-            plane_[cols_[col].base + open_slot_]);
+        std::atomic_ref<std::uint64_t> lane(plane_[cols_[col].open]);
         lane.fetch_add(static_cast<std::uint64_t>(delta),
                        std::memory_order_relaxed);
         markEver(col);
@@ -243,11 +240,12 @@ class SoaStore
     /// @{
 
     /**
-     * Seals the open slot as [ts_begin, ts_end]: inherits history
-     * lanes, snapshots the presence mask, encodes the float row,
-     * appends to the sealed ring (recycling the overwritten slot on a
-     * window wrap), and claims the next open slot with lane-0
-     * carry-forward.
+     * Seals the open slot as [ts_begin, ts_end]: snapshots the presence
+     * mask and the open lanes into lane 0, inherits history lanes,
+     * encodes the float row, appends to the sealed ring (recycling the
+     * overwritten slot on a window wrap), and claims the next open
+     * slot. A capture racing the seal lands in this vector or the next,
+     * never in neither.
      * @return features present in the sealed vector (the fv_len metric)
      */
     std::size_t seal(Nanos ts_begin, Nanos ts_end);
@@ -279,8 +277,12 @@ class SoaStore
     /** Pinned view over the newest @p n sealed slots, oldest first. */
     FvBatchView viewTail(std::size_t n);
 
-    /** Legacy-format copy of sealed slot index @p idx (oldest = 0). */
-    FeatureVector materializeAt(std::size_t idx) const;
+    /**
+     * FeatureVector copies of the sealed window, oldest first; with
+     * @p ts, only the first vector whose [ts_begin, ts_end] contains
+     * it (Registry::getFeatures). Only the selected slots are copied.
+     */
+    std::vector<FeatureVector> materialize(std::optional<Nanos> ts) const;
 
     /// @}
 
@@ -304,9 +306,10 @@ class SoaStore
   private:
     friend class FvBatchView;
 
-    /** Per-column geometry: base u64 offset of lane 0 into plane_. */
+    /** Per-column geometry: u64 offsets into plane_. */
     struct Column
     {
+        std::size_t open;       //!< plane_ index of the open lane
         std::size_t base;       //!< plane_ index of (lane 0, slot 0)
         std::size_t lane_off;   //!< offset into last_lanes_
         std::uint32_t entries;
@@ -320,22 +323,13 @@ class SoaStore
         Retired, //!< recycled while pinned; freed at last unpin
     };
 
-    SoaStore(const Schema &schema, std::size_t window,
-             const SoaConfig &cfg, shm::ShmArena &arena);
+    SoaStore(const Schema &schema, std::size_t window, std::size_t slack,
+             shm::ShmArena &arena);
 
     std::uint64_t lane(std::uint32_t col, std::uint32_t entry,
                        std::uint32_t slot) const
     {
         return plane_[cols_[col].base + entry * capacity_ + slot];
-    }
-
-    bool everCaptured(std::uint32_t col) const
-    {
-        // atomic_ref<const T> lands in C++26; cast away const for the
-        // relaxed load (the referenced word is mutable in practice).
-        std::atomic_ref<std::uint64_t> w(
-            const_cast<std::uint64_t &>(ever_[col >> 6]));
-        return (w.load(std::memory_order_relaxed) >> (col & 63)) & 1u;
     }
 
     void
@@ -377,8 +371,8 @@ class SoaStore
     shm::ShmOffset fplane_off_ = shm::kNullOffset;
     float *fplane_ = nullptr;
 
-    /** Ever-captured column bits (monotonic; the open map never
-     *  cleared). Relaxed-atomic words: capture threads set them. */
+    /** Ever-captured column bits (monotonic: a captured feature stays
+     *  present). Relaxed-atomic words: capture threads set them. */
     std::vector<std::uint64_t> ever_;
 
     /** Presence snapshot per sealed slot (capacity × words_). */
@@ -393,7 +387,8 @@ class SoaStore
     std::vector<std::uint64_t> last_presence_;
     bool has_last_ = false;
 
-    /** Open slot id; written only by owner-serialized seal/claim. */
+    /** The slot the next seal fills; owner-serialized (captures never
+     *  read it). */
     std::uint32_t open_slot_ = 0;
 
     mutable std::mutex mu_; //!< guards ring_/free_/state_/pins_

@@ -4,23 +4,11 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "base/env.h"
+
 namespace lake::serve {
 
 namespace {
-
-/** Parses a non-negative integer env var; @p fallback when unset/bad. */
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0')
-        return fallback;
-    return static_cast<std::size_t>(parsed);
-}
 
 /** Parses a non-negative double env var; @p fallback when unset/bad. */
 double
@@ -41,6 +29,7 @@ envDouble(const char *name, double fallback)
 void
 ServeConfig::applyEnv()
 {
+    using base::envSize;
     tenants = envSize("LAKE_SERVE_TENANTS", tenants);
     rate_rps = envDouble("LAKE_SERVE_RATE_RPS", rate_rps);
     seed = envSize("LAKE_SERVE_SEED", seed);

@@ -60,32 +60,6 @@ struct DeviceState
     std::uint32_t pend_col = 0;
 };
 
-/** Builds the 31-feature matrix from registry feature vectors. */
-ml::Matrix
-featurize(const std::vector<registry::FeatureVector> &fvs)
-{
-    // Interned once, outside the hot loop: per-row get() by name would
-    // re-hash every feature string for every scored vector.
-    static const std::uint64_t pend_key = registry::featureKey("pend_ios");
-    static const std::array<std::uint64_t, kLinnosHistory> lat_keys = [] {
-        std::array<std::uint64_t, kLinnosHistory> keys{};
-        for (std::size_t h = 0; h < kLinnosHistory; ++h)
-            keys[h] = registry::featureKey(kLatFeature[h]);
-        return keys;
-    }();
-    ml::Matrix x(fvs.size(), kLinnosFeatures);
-    for (std::size_t r = 0; r < fvs.size(); ++r) {
-        std::array<std::uint32_t, kLinnosHistory> hist{};
-        for (std::size_t h = 0; h < kLinnosHistory; ++h)
-            hist[h] =
-                static_cast<std::uint32_t>(fvs[r].get(lat_keys[h]));
-        encodeLinnosFeatures(
-            static_cast<std::uint32_t>(fvs[r].get(pend_key)), hist,
-            x.row(r));
-    }
-    return x;
-}
-
 } // namespace
 
 E2eResult
@@ -101,7 +75,6 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
     sim::Simulator simr;
     core::LakeConfig lake_cfg;
     lake_cfg.streaming = config.streaming;
-    lake_cfg.soa_plane = config.soa;
     core::Lake lake(lake_cfg);
     E2eResult result;
     PercentileTracker read_lats;
@@ -162,90 +135,53 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
             devs[d].reg->registerPolicy(lake.degradationGuard(
                 std::make_unique<policy::BatchThresholdPolicy>(
                     config.gpu_batch_threshold)));
-            devs[d].reg->registerClassifier(
+            // Seal-time encoder: the LinnOS digit encoding runs once
+            // per commit, so scoring reads finished float rows straight
+            // out of shm.
+            const auto lat_cols = devs[d].lat_cols;
+            const std::uint32_t pend_col = devs[d].pend_col;
+            devs[d].reg->store().setFloatEncoder(
+                kLinnosFeatures,
+                [lat_cols, pend_col](const registry::SoaStore::RowReader &row,
+                                     float *out) {
+                    std::array<std::uint32_t, kLinnosHistory> hist{};
+                    for (std::size_t h = 0; h < kLinnosHistory; ++h)
+                        hist[h] = static_cast<std::uint32_t>(
+                            row.value(lat_cols[h]));
+                    encodeLinnosFeatures(
+                        static_cast<std::uint32_t>(row.value(pend_col)),
+                        hist, out);
+                });
+            // Zero-copy CPU dispatch: the strided windows feed the
+            // GEMM substrate in place.
+            devs[d].reg->registerViewClassifier(
                 registry::Arch::Cpu,
-                [&cpu_mlp](const std::vector<registry::FeatureVector>
-                               &fvs) {
-                    ml::Matrix x = featurize(fvs);
-                    std::vector<int> c = cpu_mlp->classify(x);
+                [&cpu_mlp](const registry::FvBatchView &v) {
+                    std::vector<int> c = cpu_mlp->classify(v.matrixViews());
                     return std::vector<float>(c.begin(), c.end());
                 });
-            devs[d].reg->registerClassifier(
+            // GPU dispatch uploads to the device regardless; gather the
+            // strided rows into the staging matrix directly (no
+            // FeatureVector materialization).
+            devs[d].reg->registerViewClassifier(
                 registry::Arch::Gpu,
-                [&lake_mlp, &cpu_mlp,
-                 &lake](const std::vector<registry::FeatureVector>
-                            &fvs) {
-                    ml::Matrix x = featurize(fvs);
-                    // A remoting failure mid-batch must not kill the
-                    // I/O path: finish this batch on the CPU and count
-                    // the fallback.
-                    Result<std::vector<int>> r =
-                        lake_mlp->tryClassify(x);
+                [&lake_mlp, &cpu_mlp, &lake](const registry::FvBatchView &v) {
+                    ml::Matrix x(v.size(), kLinnosFeatures);
+                    std::size_t r = 0;
+                    for (const ml::MatrixView &mv : v.matrixViews())
+                        for (std::size_t i = 0; i < mv.rows(); ++i, ++r)
+                            std::copy(mv.row(i), mv.row(i) + mv.cols(),
+                                      x.row(r));
+                    Result<std::vector<int>> res = lake_mlp->tryClassify(x);
                     std::vector<int> c;
-                    if (r.isOk()) {
-                        c = r.takeValue();
+                    if (res.isOk()) {
+                        c = res.takeValue();
                     } else {
                         lake.noteFallback();
                         c = cpu_mlp->classify(x);
                     }
                     return std::vector<float>(c.begin(), c.end());
                 });
-            if (registry::SoaStore *store = devs[d].reg->soa()) {
-                // Seal-time encoder: the LinnOS digit encoding runs
-                // once per commit, so scoring reads finished float
-                // rows straight out of shm.
-                const auto lat_cols = devs[d].lat_cols;
-                const std::uint32_t pend_col = devs[d].pend_col;
-                store->setFloatEncoder(
-                    kLinnosFeatures,
-                    [lat_cols, pend_col](
-                        const registry::SoaStore::RowReader &row,
-                        float *out) {
-                        std::array<std::uint32_t, kLinnosHistory> hist{};
-                        for (std::size_t h = 0; h < kLinnosHistory; ++h)
-                            hist[h] = static_cast<std::uint32_t>(
-                                row.value(lat_cols[h]));
-                        encodeLinnosFeatures(
-                            static_cast<std::uint32_t>(
-                                row.value(pend_col)),
-                            hist, out);
-                    });
-                // Zero-copy CPU dispatch: the strided windows feed the
-                // GEMM substrate in place.
-                devs[d].reg->registerViewClassifier(
-                    registry::Arch::Cpu,
-                    [&cpu_mlp](const registry::FvBatchView &v) {
-                        std::vector<int> c =
-                            cpu_mlp->classify(v.matrixViews());
-                        return std::vector<float>(c.begin(), c.end());
-                    });
-                // GPU dispatch uploads to the device regardless;
-                // gather the strided rows into the staging matrix
-                // directly (no FeatureVector materialization).
-                devs[d].reg->registerViewClassifier(
-                    registry::Arch::Gpu,
-                    [&lake_mlp, &cpu_mlp,
-                     &lake](const registry::FvBatchView &v) {
-                        ml::Matrix x(v.size(), kLinnosFeatures);
-                        std::size_t r = 0;
-                        for (const ml::MatrixView &mv : v.matrixViews())
-                            for (std::size_t i = 0; i < mv.rows();
-                                 ++i, ++r)
-                                std::copy(mv.row(i),
-                                          mv.row(i) + mv.cols(),
-                                          x.row(r));
-                        Result<std::vector<int>> res =
-                            lake_mlp->tryClassify(x);
-                        std::vector<int> c;
-                        if (res.isOk()) {
-                            c = res.takeValue();
-                        } else {
-                            lake.noteFallback();
-                            c = cpu_mlp->classify(x);
-                        }
-                        return std::vector<float>(c.begin(), c.end());
-                    });
-            }
             devs[d].reg->beginFvCapture(0);
         }
     }
@@ -308,15 +244,12 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
         std::unordered_map<Nanos, std::size_t> by_ts;
         for (std::size_t i = 0; i < ds.queued.size(); ++i)
             by_ts.emplace(ds.queued[i].commit_ts, i);
+        // Listing 4: pin the window and select the queued rows — no
+        // copies, the scored floats stay in shm, and a truncate below
+        // defers recycling behind the pinned view.
         std::vector<std::size_t> order;
-        std::vector<registry::FeatureVector> batch;
         registry::FvBatchView view;
-        const bool soa = ds.reg->soa() != nullptr;
-        if (soa) {
-            // Listing 4 on the SoA plane: pin the window and select
-            // the queued rows — no copies, the scored floats stay in
-            // shm, and a truncate below defers recycling behind the
-            // pinned view.
+        {
             registry::FvBatchView all = ds.reg->batchView();
             std::vector<std::size_t> rows;
             for (std::size_t i = 0; i < all.size(); ++i) {
@@ -327,17 +260,6 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                 }
             }
             view = all.select(rows);
-        } else {
-            // Listing 4: pull the ring, score it, act, truncate.
-            std::vector<registry::FeatureVector> fvs =
-                ds.reg->getFeatures();
-            for (auto &fv : fvs) {
-                auto it = by_ts.find(fv.ts_end);
-                if (it != by_ts.end()) {
-                    batch.push_back(std::move(fv));
-                    order.push_back(it->second);
-                }
-            }
         }
 
         // The §7.1 modulation gate: when recent batches produced no
@@ -359,9 +281,7 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
         Clock &clk = lake.clock();
         clk.advanceTo(simr.now());
         Nanos t0 = clk.now();
-        std::vector<float> scores =
-            soa ? ds.reg->scoreFeatures(view, clk.now())
-                : ds.reg->scoreFeatures(batch, clk.now());
+        std::vector<float> scores = ds.reg->scoreFeatures(view, clk.now());
         Nanos infer = clk.now() - t0;
         if (use_gate) {
             std::size_t positives = 0;

@@ -616,6 +616,21 @@ TEST(StreamingConfigTest, MalformedStreamsValueIsIgnored)
     ::unsetenv("LAKE_STREAMS");
 }
 
+TEST(StreamingConfigTest, TrailingGarbageIsIgnored)
+{
+    // "4x" and "16k" are typos, not 4 and 16: neither may switch
+    // streaming on nor resize the pool.
+    ::setenv("LAKE_STREAMS", "4x", 1);
+    ::setenv("LAKE_POOL_BUFFERS", "16k", 1);
+    StreamingConfig sc;
+    const std::size_t buffers = sc.pool_buffers;
+    sc.applyEnv();
+    EXPECT_FALSE(sc.enabled);
+    EXPECT_EQ(sc.pool_buffers, buffers);
+    ::unsetenv("LAKE_STREAMS");
+    ::unsetenv("LAKE_POOL_BUFFERS");
+}
+
 TEST(StreamingConfigTest, LakeConstructsOrchestratorOnlyWhenEnabled)
 {
     core::Lake plain;

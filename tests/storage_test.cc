@@ -9,6 +9,17 @@
 #include "storage/trace.h"
 
 namespace lake::storage {
+
+// Prints a trace spec by its Table 4 name. Without this, gtest dumps the
+// struct's raw bytes, which include a heap pointer, so the discovered
+// ctest names of the Table4 cases would change from build to build.
+// Lives outside the anonymous namespace so argument-dependent lookup
+// finds it.
+void PrintTo(const TraceSpec &spec, std::ostream *os)
+{
+    *os << spec.name;
+}
+
 namespace {
 
 TEST(NvmeTest, CompletionsDecrementPending)
