@@ -77,3 +77,11 @@ ctest --test-dir "$BUILD" --output-on-failure -L serve
 # `bench/sanitize.sh thread -L fleet` exists to sweep, and the
 # fleet_scaling smoke adds the CuSetDevice muxing path under load.
 ctest --test-dir "$BUILD" --output-on-failure -L fleet
+
+# The crypto suite (ctest -L crypto) runs the table-driven host cipher
+# against its byte-wise / bit-serial reference model over every tail
+# length: the T-table and GHASH-table indexing and the 64-bit shifts
+# and big-endian loads are what ASan/UBSan should sweep. It also holds
+# the two-thread first-use kernel registration test that
+# `bench/sanitize.sh thread` exists to check.
+ctest --test-dir "$BUILD" --output-on-failure -L crypto

@@ -1,7 +1,5 @@
 #include "crypto/aes.h"
 
-#include <cstring>
-
 #include "base/logging.h"
 
 namespace lake::crypto {
@@ -56,11 +54,75 @@ rotWord(std::uint32_t w)
     return (w << 8) | (w >> 24);
 }
 
-/** GF(2^8) multiply by 2 (xtime). */
-std::uint8_t
-xtime(std::uint8_t x)
+/**
+ * Round tables: te[r][x] is S-box output x's contribution, from row r
+ * of a column, to the MixColumns output column (row 0 in the top byte,
+ * the big-endian word layout of round_keys_). te[0][x] is
+ * {2·S[x], S[x], S[x], 3·S[x]}; each further table is the previous one
+ * rotated right by a byte.
+ */
+struct RoundTables
 {
-    return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
+    std::uint32_t te[4][256];
+};
+
+constexpr RoundTables
+buildRoundTables()
+{
+    RoundTables t{};
+    for (int x = 0; x < 256; ++x) {
+        std::uint32_t s = kSbox[x];
+        std::uint32_t s2 = ((s << 1) ^ ((s >> 7) * 0x1b)) & 0xff;
+        std::uint32_t w = (s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s);
+        for (int r = 0; r < 4; ++r) {
+            t.te[r][x] = w;
+            w = (w >> 8) | (w << 24);
+        }
+    }
+    return t;
+}
+
+constexpr RoundTables kTables = buildRoundTables();
+
+std::uint32_t
+loadBe32(const std::uint8_t *p)
+{
+    return (static_cast<std::uint32_t>(p[0]) << 24) |
+           (static_cast<std::uint32_t>(p[1]) << 16) |
+           (static_cast<std::uint32_t>(p[2]) << 8) |
+           static_cast<std::uint32_t>(p[3]);
+}
+
+void
+storeBe32(std::uint8_t *p, std::uint32_t w)
+{
+    p[0] = static_cast<std::uint8_t>(w >> 24);
+    p[1] = static_cast<std::uint8_t>(w >> 16);
+    p[2] = static_cast<std::uint8_t>(w >> 8);
+    p[3] = static_cast<std::uint8_t>(w);
+}
+
+/**
+ * One output column of SubBytes + ShiftRows + MixColumns: ShiftRows
+ * takes row r from the r-th argument's column.
+ */
+std::uint32_t
+roundColumn(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+            std::uint32_t d)
+{
+    return kTables.te[0][a >> 24] ^ kTables.te[1][(b >> 16) & 0xff] ^
+           kTables.te[2][(c >> 8) & 0xff] ^ kTables.te[3][d & 0xff];
+}
+
+/** The same column for the final round, which has no MixColumns. */
+std::uint32_t
+finalColumn(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+            std::uint32_t d)
+{
+    return (static_cast<std::uint32_t>(kSbox[a >> 24]) << 24) |
+           (static_cast<std::uint32_t>(kSbox[(b >> 16) & 0xff]) << 16) |
+           (static_cast<std::uint32_t>(kSbox[(c >> 8) & 0xff]) << 8) |
+           static_cast<std::uint32_t>(kSbox[d & 0xff]);
 }
 
 } // namespace
@@ -73,13 +135,8 @@ Aes::Aes(const std::uint8_t *key, std::size_t key_bytes)
     rounds_ = nk + 6;
     int total = 4 * (rounds_ + 1);
 
-    for (int i = 0; i < nk; ++i) {
-        round_keys_[i] =
-            (static_cast<std::uint32_t>(key[4 * i]) << 24) |
-            (static_cast<std::uint32_t>(key[4 * i + 1]) << 16) |
-            (static_cast<std::uint32_t>(key[4 * i + 2]) << 8) |
-            static_cast<std::uint32_t>(key[4 * i + 3]);
-    }
+    for (int i = 0; i < nk; ++i)
+        round_keys_[i] = loadBe32(key + 4 * i);
     for (int i = nk; i < total; ++i) {
         std::uint32_t temp = round_keys_[i - 1];
         if (i % nk == 0) {
@@ -95,61 +152,30 @@ Aes::Aes(const std::uint8_t *key, std::size_t key_bytes)
 void
 Aes::encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const
 {
-    std::uint8_t s[16];
-    std::memcpy(s, in, 16);
+    // One word per state column, row 0 in the top byte.
+    const std::uint32_t *rk = round_keys_.data();
+    std::uint32_t s0 = loadBe32(in) ^ rk[0];
+    std::uint32_t s1 = loadBe32(in + 4) ^ rk[1];
+    std::uint32_t s2 = loadBe32(in + 8) ^ rk[2];
+    std::uint32_t s3 = loadBe32(in + 12) ^ rk[3];
 
-    auto addRoundKey = [&](int round) {
-        for (int c = 0; c < 4; ++c) {
-            std::uint32_t w = round_keys_[4 * round + c];
-            s[4 * c] ^= static_cast<std::uint8_t>(w >> 24);
-            s[4 * c + 1] ^= static_cast<std::uint8_t>(w >> 16);
-            s[4 * c + 2] ^= static_cast<std::uint8_t>(w >> 8);
-            s[4 * c + 3] ^= static_cast<std::uint8_t>(w);
-        }
-    };
-
-    auto subBytes = [&] {
-        for (auto &b : s)
-            b = kSbox[b];
-    };
-
-    auto shiftRows = [&] {
-        std::uint8_t t[16];
-        std::memcpy(t, s, 16);
-        // State is column-major: s[4c + r] is row r, column c.
-        for (int r = 1; r < 4; ++r)
-            for (int c = 0; c < 4; ++c)
-                s[4 * c + r] = t[4 * ((c + r) % 4) + r];
-    };
-
-    auto mixColumns = [&] {
-        for (int c = 0; c < 4; ++c) {
-            std::uint8_t *col = s + 4 * c;
-            std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-            std::uint8_t all = static_cast<std::uint8_t>(a0 ^ a1 ^ a2 ^ a3);
-            col[0] = static_cast<std::uint8_t>(
-                a0 ^ all ^ xtime(static_cast<std::uint8_t>(a0 ^ a1)));
-            col[1] = static_cast<std::uint8_t>(
-                a1 ^ all ^ xtime(static_cast<std::uint8_t>(a1 ^ a2)));
-            col[2] = static_cast<std::uint8_t>(
-                a2 ^ all ^ xtime(static_cast<std::uint8_t>(a2 ^ a3)));
-            col[3] = static_cast<std::uint8_t>(
-                a3 ^ all ^ xtime(static_cast<std::uint8_t>(a3 ^ a0)));
-        }
-    };
-
-    addRoundKey(0);
     for (int round = 1; round < rounds_; ++round) {
-        subBytes();
-        shiftRows();
-        mixColumns();
-        addRoundKey(round);
+        rk += 4;
+        std::uint32_t t0 = roundColumn(s0, s1, s2, s3) ^ rk[0];
+        std::uint32_t t1 = roundColumn(s1, s2, s3, s0) ^ rk[1];
+        std::uint32_t t2 = roundColumn(s2, s3, s0, s1) ^ rk[2];
+        std::uint32_t t3 = roundColumn(s3, s0, s1, s2) ^ rk[3];
+        s0 = t0;
+        s1 = t1;
+        s2 = t2;
+        s3 = t3;
     }
-    subBytes();
-    shiftRows();
-    addRoundKey(rounds_);
 
-    std::memcpy(out, s, 16);
+    rk += 4;
+    storeBe32(out, finalColumn(s0, s1, s2, s3) ^ rk[0]);
+    storeBe32(out + 4, finalColumn(s1, s2, s3, s0) ^ rk[1]);
+    storeBe32(out + 8, finalColumn(s2, s3, s0, s1) ^ rk[2]);
+    storeBe32(out + 12, finalColumn(s3, s0, s1, s2) ^ rk[3]);
 }
 
 } // namespace lake::crypto

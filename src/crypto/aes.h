@@ -9,6 +9,13 @@
  * contents round-trip bit-exactly across the CPU, AES-NI and GPU
  * engines. Only block *encryption* is implemented — CTR and GCM never
  * run the inverse cipher.
+ *
+ * Rounds are table-driven (four 1 KiB T-tables built at compile time
+ * from the S-box). The cipher is not constant-time: its table lookups
+ * are indexed by secret state, so cache timing can leak key bits. Any
+ * table-based software AES shares this, a byte-wise S-box round
+ * included. It is a simulator's host cipher, not a hardened kernel
+ * library.
  */
 
 #include <array>

@@ -99,11 +99,11 @@ CipherEngine::decryptBatch(ExtentOp *ops, std::size_t n)
 void
 registerCryptoKernels()
 {
-    static bool done = false;
-    if (done)
-        return;
-    done = true;
-    gpu::KernelRegistry::global().add("aes_gcm", aesGcmBody, aesGcmCost);
+    // Once per process, however many threads race the first call.
+    [[maybe_unused]] static const bool registered = [] {
+        gpu::KernelRegistry::global().add("aes_gcm", aesGcmBody, aesGcmCost);
+        return true;
+    }();
 }
 
 CpuCipher::CpuCipher(const std::uint8_t *key, std::size_t key_bytes,

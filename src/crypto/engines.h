@@ -234,7 +234,7 @@ class HybridCipher final : public CipherEngine
     gpu::CpuSpec cpu_;
 };
 
-/** Registers the "aes_gcm" GPU kernel; idempotent. */
+/** Registers the "aes_gcm" GPU kernel; idempotent and thread-safe. */
 void registerCryptoKernels();
 
 } // namespace lake::crypto

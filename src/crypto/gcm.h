@@ -9,6 +9,10 @@
  * is parallelizable" (§7.7) — CTR keystream blocks are independent,
  * which is what the GPU engine exploits. 96-bit IVs only (the standard
  * fast path).
+ *
+ * GHASH multiplies through Shoup's 4-bit table of the hash subkey,
+ * built once per key. Like Aes, it is not constant-time: the table is
+ * indexed by secret hash state.
  */
 
 #include <cstddef>
@@ -57,17 +61,34 @@ class AesGcm
                  std::uint8_t *plain) const;
 
   private:
-    /** GHASH over aad and text, returning the pre-tag hash. */
-    void ghash(const std::uint8_t *aad, std::size_t aad_len,
-               const std::uint8_t *text, std::size_t text_len,
-               std::uint8_t out[16]) const;
+    /**
+     * y = y * H in GCM's bit-reflected GF(2^128), four bits of y at a
+     * time; y is the GHASH accumulator as big-endian halves.
+     */
+    void mulH(std::uint64_t y[2]) const;
 
-    /** CTR keystream application starting at counter block @p j. */
-    void ctr(std::uint8_t j[16], const std::uint8_t *in, std::size_t len,
-             std::uint8_t *out) const;
+    /** Absorbs @p len bytes (last block zero-padded) into @p y. */
+    void absorb(std::uint64_t y[2], const std::uint8_t *data,
+                std::size_t len) const;
+
+    /** The tag: GHASH(aad, text, lengths) ^ E(K, J0). */
+    void computeTag(const std::uint8_t j0[16], const std::uint8_t *aad,
+                    std::size_t aad_len, const std::uint8_t *text,
+                    std::size_t text_len,
+                    std::uint8_t out[kGcmTagBytes]) const;
+
+    /** CTR keystream application starting after counter block @p j0. */
+    void ctr(const std::uint8_t j0[16], const std::uint8_t *in,
+             std::size_t len, std::uint8_t *out) const;
 
     Aes aes_;
-    std::uint8_t h_[16]; //!< hash subkey E(K, 0^128)
+    /**
+     * Shoup's 4-bit table of the hash subkey H = E(K, 0^128):
+     * hh_[i]:hl_[i] is H times the 4-bit polynomial i (bit 3 of i is
+     * the x^0 coefficient), as big-endian halves.
+     */
+    std::uint64_t hh_[16];
+    std::uint64_t hl_[16];
 };
 
 } // namespace lake::crypto

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
 
 #include "base/logging.h"
 #include "base/thread_pool.h"
@@ -20,18 +21,20 @@ KernelRegistry::add(const std::string &name, Body body, Cost cost)
 {
     LAKE_ASSERT(body && cost, "kernel '%s' missing body or cost",
                 name.c_str());
+    std::unique_lock lock(mu_);
     table_[name] = Entry{std::move(body), std::move(cost)};
 }
 
 bool
 KernelRegistry::has(const std::string &name) const
 {
-    return table_.count(name) != 0;
+    return find(name) != nullptr;
 }
 
 const KernelRegistry::Entry *
 KernelRegistry::find(const std::string &name) const
 {
+    std::shared_lock lock(mu_);
     auto it = table_.find(name);
     return it == table_.end() ? nullptr : &it->second;
 }
@@ -39,24 +42,21 @@ KernelRegistry::find(const std::string &name) const
 CuResult
 KernelRegistry::run(Device &dev, const LaunchConfig &cfg) const
 {
-    auto it = table_.find(cfg.kernel);
-    if (it == table_.end())
-        return CuResult::NotFound;
-    return it->second.body(dev, cfg);
+    const Entry *entry = find(cfg.kernel);
+    return entry ? entry->body(dev, cfg) : CuResult::NotFound;
 }
 
 Nanos
 KernelRegistry::cost(const Device &dev, const LaunchConfig &cfg) const
 {
-    auto it = table_.find(cfg.kernel);
-    if (it == table_.end())
-        return 0;
-    return it->second.cost(dev, cfg);
+    const Entry *entry = find(cfg.kernel);
+    return entry ? entry->cost(dev, cfg) : 0;
 }
 
 std::vector<std::string>
 KernelRegistry::names() const
 {
+    std::shared_lock lock(mu_);
     std::vector<std::string> out;
     out.reserve(table_.size());
     for (const auto &[name, entry] : table_)
@@ -162,16 +162,9 @@ pageHashBody(Device &dev, const LaunchConfig &cfg)
     return CuResult::Success;
 }
 
-} // namespace
-
 void
-registerBuiltinKernels()
+addBuiltinKernels()
 {
-    static bool done = false;
-    if (done)
-        return;
-    done = true;
-
     KernelRegistry &r = KernelRegistry::global();
 
     r.add("vec_add", vecAddBody,
@@ -199,6 +192,17 @@ registerBuiltinKernels()
                              kPageSize;
               return dev.computeTime(flops, npages * kPageSize);
           });
+}
+
+} // namespace
+
+void
+registerBuiltinKernels()
+{
+    // A function-local static is initialized exactly once; concurrent
+    // first callers wait until it is.
+    [[maybe_unused]] static const bool registered =
+        (addBuiltinKernels(), true);
 }
 
 } // namespace lake::gpu

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -84,6 +85,10 @@ struct LaunchConfig
 
 /**
  * Name -> {body, cost} table shared by every simulated device.
+ *
+ * Thread-safe: stacks on different threads register their kernel
+ * families on first use while other stacks launch, so lookups take a
+ * shared lock and add() an exclusive one.
  */
 class KernelRegistry
 {
@@ -107,8 +112,9 @@ class KernelRegistry
      * One-lookup handle for the launch fast path: has() + run() +
      * cost() each hash the kernel name again, which showed up as the
      * dominant per-launch cost in the remoting pipeline bench.
-     * @return the entry, or nullptr for unknown kernels. Invalidated
-     *         by the next add().
+     * @return the entry, or nullptr for unknown kernels. It stays
+     *         valid across add() of other names; re-adding this name
+     *         replaces it in place.
      */
     const Entry *find(const std::string &name) const;
 
@@ -131,6 +137,7 @@ class KernelRegistry
     std::vector<std::string> names() const;
 
   private:
+    mutable std::shared_mutex mu_; //!< guards table_
     std::unordered_map<std::string, Entry> table_;
 };
 
@@ -142,7 +149,7 @@ class KernelRegistry
  *
  * "page_hash" is the compute-bound user-space workload of the Fig. 1 /
  * Fig. 13 contention experiments.
- * Idempotent; called by GpuContext construction.
+ * Idempotent and thread-safe; called by GpuContext construction.
  */
 void registerBuiltinKernels();
 

@@ -285,14 +285,14 @@ knnQueryCost(const Device &dev, const LaunchConfig &cfg)
 void
 registerMlKernels()
 {
-    static bool done = false;
-    if (done)
-        return;
-    done = true;
-    gpu::KernelRegistry &r = gpu::KernelRegistry::global();
-    r.add("mlp_forward", mlpForwardBody, mlpForwardCost);
-    r.add("lstm_forward", lstmForwardBody, lstmForwardCost);
-    r.add("knn_query", knnQueryBody, knnQueryCost);
+    // Once per process, however many threads race the first call.
+    [[maybe_unused]] static const bool registered = [] {
+        gpu::KernelRegistry &r = gpu::KernelRegistry::global();
+        r.add("mlp_forward", mlpForwardBody, mlpForwardCost);
+        r.add("lstm_forward", lstmForwardBody, lstmForwardCost);
+        r.add("knn_query", knnQueryBody, knnQueryCost);
+        return true;
+    }();
 }
 
 } // namespace lake::ml

@@ -19,7 +19,7 @@
 
 namespace lake::ml {
 
-/** Registers the ML kernels; idempotent. */
+/** Registers the ML kernels; idempotent and thread-safe. */
 void registerMlKernels();
 
 } // namespace lake::ml
