@@ -11,6 +11,7 @@
 #include "base/ring_buffer.h"
 #include "core/lake.h"
 #include "crypto/gcm.h"
+#include "ml/backends.h"
 #include "ml/compute.h"
 #include "ml/knn.h"
 #include "ml/mlp.h"
@@ -196,6 +197,31 @@ BM_MlpForwardLinnos(benchmark::State &state)
         benchmark::DoNotOptimize(net.forward(x));
 }
 BENCHMARK(BM_MlpForwardLinnos)->Arg(1)->Arg(32)->Arg(256);
+
+// One GPU-scored LinnOS batch through a booted stack: staging, the
+// remoted launch and the "mlp_forward" kernel body, so the per-launch
+// host cost of the kernel shows outside lakebench.
+void
+BM_LakeMlpClassify32(benchmark::State &state)
+{
+    core::Lake lake;
+    Rng rng(1);
+    ml::Mlp net(ml::MlpConfig::linnos(), rng);
+    ml::LakeMlp gpu(net, lake.lib(), /*sync_copy=*/false, 32);
+    ml::Matrix x(32, 31);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x.data()[i] = static_cast<float>(i % 13) / 13.0f;
+    for (auto _ : state) {
+        Result<std::vector<int>> r = gpu.tryClassify(x);
+        if (!r.isOk()) {
+            state.SkipWithError(r.status().toString().c_str());
+            break;
+        }
+        benchmark::DoNotOptimize(r.value().data());
+    }
+    state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_LakeMlpClassify32);
 
 // Seed scalar affine loop, preserved as the GEMM host-time baseline;
 // compare against BM_GemmBlocked256 (ratio is the substrate speedup).

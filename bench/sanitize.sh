@@ -85,3 +85,11 @@ ctest --test-dir "$BUILD" --output-on-failure -L fleet
 # the two-thread first-use kernel registration test that
 # `bench/sanitize.sh thread` exists to check.
 ctest --test-dir "$BUILD" --output-on-failure -L crypto
+
+# The ML suite (ctest -L ml) runs the model kernels against their host
+# models: the kernel bodies keep decoded models per thread across
+# launches, found by comparing blob bytes, so models re-uploaded over
+# the same allocation, corrupted or truncated blobs, more models than a
+# thread keeps, and two stacks classifying at once on separate threads
+# are what TSan and ASan/UBSan should sweep.
+ctest --test-dir "$BUILD" --output-on-failure -L ml

@@ -139,6 +139,9 @@ class LakeMlp
         orch_ = orch;
     }
 
+    /** Device address of the uploaded Mlp::serialize() blob. */
+    gpu::DevicePtr deviceModel() const { return d_model_; }
+
   private:
     /** Multi-stream chunked classify (enableStreaming path). */
     Result<std::vector<int>> tryClassifyStreamed(const Matrix &x);

@@ -30,18 +30,60 @@ peek32(const Device &dev, gpu::DevicePtr base, std::size_t pos,
     return true;
 }
 
+/** Decoded models each kernel-body thread keeps per model type. */
+constexpr std::size_t kResidentModels = 4;
+
 /**
- * Copies a device-resident model blob out for host-side execution of
- * the kernel body. @return empty vector when the pointer is bad.
+ * The decoded model for the @p bytes of blob at @p ptr. A real device
+ * keeps a model resident after one upload; here each thread keeps its
+ * last kResidentModels decodes per model type next to the bytes they
+ * came from, and reuses one only while the device bytes still equal
+ * them. Keyed on content, so a model re-uploaded into the same
+ * allocation, a reused address or a new device needs no invalidation,
+ * and only bytes that once decoded cleanly can hit. A miss decodes as
+ * every launch used to and replaces the least recently used entry.
+ * @return nullptr when the pointer is bad or the blob does not decode;
+ *         valid until this thread's next call.
  */
-std::vector<std::uint8_t>
-snapshotBlob(const Device &dev, gpu::DevicePtr ptr, std::size_t bytes)
+template <typename Model>
+const Model *
+residentModel(const Device &dev, gpu::DevicePtr ptr, std::size_t bytes)
 {
-    const void *p = dev.resolve(ptr, bytes);
-    if (!p)
-        return {};
-    const auto *u8 = static_cast<const std::uint8_t *>(p);
-    return std::vector<std::uint8_t>(u8, u8 + bytes);
+    struct Entry
+    {
+        std::vector<std::uint8_t> blob;
+        Model model;
+        std::uint64_t used;
+    };
+    thread_local std::vector<Entry> cache;
+    thread_local std::uint64_t tick = 0;
+
+    const auto *dev_bytes =
+        static_cast<const std::uint8_t *>(dev.resolve(ptr, bytes));
+    if (!dev_bytes)
+        return nullptr;
+    for (Entry &e : cache) {
+        if (e.blob.size() == bytes &&
+            std::memcmp(e.blob.data(), dev_bytes, bytes) == 0) {
+            e.used = ++tick;
+            return &e.model;
+        }
+    }
+
+    std::vector<std::uint8_t> blob(dev_bytes, dev_bytes + bytes);
+    Result<Model> net = Model::deserialize(blob);
+    if (!net.isOk())
+        return nullptr;
+    Entry fresh{std::move(blob), net.takeValue(), ++tick};
+    if (cache.size() < kResidentModels) {
+        cache.push_back(std::move(fresh));
+        return &cache.back().model;
+    }
+    Entry &lru = *std::min_element(
+        cache.begin(), cache.end(),
+        [](const Entry &a, const Entry &b) { return a.used < b.used; });
+    lru = std::move(fresh);
+    return &lru.model;
 }
 
 /** Parses the MLP blob header into full layer widths. */
@@ -103,12 +145,8 @@ mlpForwardBody(Device &dev, const LaunchConfig &cfg)
     std::vector<std::uint32_t> dims;
     if (!mlpDims(dev, model, &dims))
         return CuResult::LaunchFailed;
-    std::vector<std::uint8_t> blob =
-        snapshotBlob(dev, model, mlpBlobBytes(dims));
-    if (blob.empty())
-        return CuResult::LaunchFailed;
-    Result<Mlp> net = Mlp::deserialize(blob);
-    if (!net.isOk())
+    const Mlp *net = residentModel<Mlp>(dev, model, mlpBlobBytes(dims));
+    if (!net)
         return CuResult::LaunchFailed;
 
     std::uint32_t in_w = dims.front(), out_w = dims.back();
@@ -119,9 +157,8 @@ mlpForwardBody(Device &dev, const LaunchConfig &cfg)
     if (!in || !out)
         return CuResult::LaunchFailed;
 
-    Matrix x(batch, in_w);
-    std::memcpy(x.data(), in, batch * in_w * sizeof(float));
-    Matrix logits = net.value().forward(x);
+    // The forward pass reads the batch where it sits in device memory.
+    Matrix logits = net->forward({MatrixView(in, batch, in_w, in_w)});
     std::memcpy(out, logits.data(), batch * out_w * sizeof(float));
     return CuResult::Success;
 }
@@ -153,9 +190,8 @@ lstmForwardBody(Device &dev, const LaunchConfig &cfg)
     std::uint32_t magic = 0;
     if (!peek32(dev, model, 0, &magic) || magic != 0x4c53544dU)
         return CuResult::LaunchFailed;
-    // The LSTM blob length is not recoverable from the header alone
-    // without replicating layer math; snapshot generously by probing
-    // config fields.
+    // The LSTM header has no length field; the blob length follows
+    // from its config fields.
     std::uint32_t input = 0, hidden = 0, layers = 0, output = 0, seq = 0;
     if (!peek32(dev, model, 4, &input) || !peek32(dev, model, 8, &hidden) ||
         !peek32(dev, model, 12, &layers) ||
@@ -172,11 +208,8 @@ lstmForwardBody(Device &dev, const LaunchConfig &cfg)
     bytes += (static_cast<std::size_t>(output) * hidden + output) *
              sizeof(float);
 
-    std::vector<std::uint8_t> blob = snapshotBlob(dev, model, bytes);
-    if (blob.empty())
-        return CuResult::LaunchFailed;
-    Result<Lstm> net = Lstm::deserialize(blob);
-    if (!net.isOk())
+    const Lstm *net = residentModel<Lstm>(dev, model, bytes);
+    if (!net)
         return CuResult::LaunchFailed;
 
     std::size_t per = static_cast<std::size_t>(seq) * input;
@@ -188,7 +221,7 @@ lstmForwardBody(Device &dev, const LaunchConfig &cfg)
         return CuResult::LaunchFailed;
 
     std::vector<float> seqs(in_p, in_p + batch * per);
-    std::vector<int> labels = net.value().classifyBatch(seqs, batch);
+    std::vector<int> labels = net->classifyBatch(seqs, batch);
     for (std::size_t i = 0; i < labels.size(); ++i)
         out_p[i] = labels[i];
     return CuResult::Success;

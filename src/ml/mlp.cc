@@ -24,6 +24,15 @@ argmaxRows(const Matrix &logits)
     return out;
 }
 
+/** ReLU over every element of @p a, in place. */
+void
+reluInPlace(Matrix &a)
+{
+    float *p = a.data();
+    for (std::size_t i = 0, n = a.size(); i < n; ++i)
+        p[i] = std::max(0.0f, p[i]);
+}
+
 } // namespace
 
 MlpConfig
@@ -140,11 +149,8 @@ Mlp::forward(const Matrix &x) const
         Matrix next(a.rows(), weights_[l].rows());
         layerForward(l, a.data(), a.rows(), a.cols(), next.data());
         a = std::move(next);
-        if (l + 1 < weights_.size()) { // hidden layers: ReLU
-            for (std::size_t i = 0; i < a.rows(); ++i)
-                for (std::size_t j = 0; j < a.cols(); ++j)
-                    a.at(i, j) = std::max(0.0f, a.at(i, j));
-        }
+        if (l + 1 < weights_.size()) // hidden layers: ReLU
+            reluInPlace(a);
     }
     return a;
 }
@@ -181,11 +187,8 @@ Mlp::forward(const std::vector<MatrixView> &xs) const
             layerForward(l, a.data(), a.rows(), a.cols(), next.data());
             a = std::move(next);
         }
-        if (l + 1 < weights_.size()) { // hidden layers: ReLU
-            for (std::size_t i = 0; i < a.rows(); ++i)
-                for (std::size_t j = 0; j < a.cols(); ++j)
-                    a.at(i, j) = std::max(0.0f, a.at(i, j));
-        }
+        if (l + 1 < weights_.size()) // hidden layers: ReLU
+            reluInPlace(a);
     }
     return a;
 }
@@ -232,11 +235,8 @@ Mlp::trainStep(const Matrix &x, const std::vector<int> &labels, float lr)
     acts.push_back(x);
     for (std::size_t l = 0; l < weights_.size(); ++l) {
         Matrix a = Matrix::affine(acts.back(), weights_[l], biases_[l]);
-        if (l + 1 < weights_.size()) {
-            for (std::size_t i = 0; i < a.rows(); ++i)
-                for (std::size_t j = 0; j < a.cols(); ++j)
-                    a.at(i, j) = std::max(0.0f, a.at(i, j));
-        }
+        if (l + 1 < weights_.size())
+            reluInPlace(a);
         acts.push_back(std::move(a));
     }
 

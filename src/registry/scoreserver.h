@@ -224,13 +224,13 @@ class ScoreServer
     /** One queued submit() / submitView(). */
     struct Request
     {
-        Registry *reg;
+        Registry *reg = nullptr;
         /** Vector payload; empty on the view path. */
         std::vector<FeatureVector> fvs;
         /** View payload; empty (unpinned) on the vector path. Dropping
          *  the request — shed, teardown — unpins it via its dtor. */
         FvBatchView view;
-        Nanos enqueued;
+        Nanos enqueued = 0;
         /** Absolute flush deadline, kept so shedding/teardown can
          *  recompute the group's earliest deadline from survivors. */
         Nanos deadline;

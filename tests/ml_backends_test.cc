@@ -3,12 +3,75 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <thread>
+
 #include "core/lake.h"
 #include "ml/backends.h"
 #include "ml/gpu_kernels.h"
 
 namespace lake::ml {
 namespace {
+
+using gpu::CuResult;
+using gpu::DevicePtr;
+
+/** @p net with its output layer negated: a blob of the same size and
+ *  header whose logits are exactly -net's, so every untied row flips. */
+Mlp
+withNegatedHead(const Mlp &net)
+{
+    Mlp flipped = net;
+    flipped.editParams([](std::vector<Matrix> &w,
+                          std::vector<std::vector<float>> &b) {
+        for (std::size_t i = 0; i < w.back().size(); ++i)
+            w.back().data()[i] = -w.back().data()[i];
+        for (float &v : b.back())
+            v = -v;
+    });
+    return flipped;
+}
+
+/**
+ * One raw "mlp_forward" launch on the model blob at @p d_model,
+ * synchronized so a kernel failure is the return value. Fills
+ * @p logits on success.
+ */
+CuResult
+launchMlp(remote::LakeLib &lib, DevicePtr d_model, const Matrix &x,
+          std::uint32_t out_w, Matrix *logits)
+{
+    DevicePtr d_in = 0, d_out = 0;
+    std::size_t in_bytes = x.size() * sizeof(float);
+    std::size_t out_bytes = x.rows() * out_w * sizeof(float);
+    EXPECT_EQ(lib.cuMemAlloc(&d_in, in_bytes), CuResult::Success);
+    EXPECT_EQ(lib.cuMemAlloc(&d_out, out_bytes), CuResult::Success);
+    EXPECT_EQ(lib.cuMemcpyHtoD(d_in, x.data(), in_bytes), CuResult::Success);
+
+    gpu::LaunchConfig cfg;
+    cfg.kernel = "mlp_forward";
+    cfg.block_x = 256;
+    cfg.arg(d_model).arg(d_in).arg(d_out).arg(
+        static_cast<std::uint64_t>(x.rows()), nullptr);
+    lib.cuLaunchKernel(cfg, 0);
+    CuResult r = lib.cuCtxSynchronize();
+    if (r == CuResult::Success) {
+        *logits = Matrix(x.rows(), out_w);
+        r = lib.cuMemcpyDtoH(logits->data(), d_out, out_bytes);
+    }
+    lib.cuMemFree(d_in);
+    lib.cuMemFree(d_out);
+    return r;
+}
+
+/** Bitwise equality of two logits matrices. */
+bool
+sameBits(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
 
 class BackendsTest : public ::testing::Test
 {
@@ -198,6 +261,148 @@ TEST_F(BackendsTest, GpuBusyTimeRecorded)
     Nanos busy_before = lake_.device().computeBusy().totalBusy();
     gpu.classify(randomBatch(32, 31));
     EXPECT_GT(lake_.device().computeBusy().totalBusy(), busy_before);
+}
+
+// ---- decoded models resident across launches ---------------------------
+
+TEST_F(BackendsTest, ReuploadedModelScoresWithNewWeights)
+{
+    // The kernel keeps decoded models between launches. Bytes written
+    // over the same allocation must be what the next launch scores
+    // with, so the kept model is found by content, not by address.
+    Mlp a(MlpConfig::linnos(), rng_);
+    Mlp b = withNegatedHead(a);
+    LakeMlp gpu(a, lake_.lib(), false, 64);
+    Matrix x = randomBatch(32, 31);
+    ASSERT_NE(a.classify(x), b.classify(x));
+
+    Matrix logits;
+    ASSERT_EQ(gpu.classify(x), a.classify(x));
+    ASSERT_EQ(launchMlp(lake_.lib(), gpu.deviceModel(), x, 2, &logits),
+              CuResult::Success);
+    EXPECT_TRUE(sameBits(logits, a.forward(x)));
+
+    std::vector<std::uint8_t> blob = b.serialize();
+    ASSERT_EQ(lake_.lib().cuMemcpyHtoD(gpu.deviceModel(), blob.data(),
+                                       blob.size()),
+              CuResult::Success);
+    EXPECT_EQ(gpu.classify(x), b.classify(x));
+    ASSERT_EQ(launchMlp(lake_.lib(), gpu.deviceModel(), x, 2, &logits),
+              CuResult::Success);
+    EXPECT_TRUE(sameBits(logits, b.forward(x)));
+}
+
+TEST_F(BackendsTest, InterleavedModelsEachMatchTheirHostModel)
+{
+    Mlp a(MlpConfig::linnos(), rng_);
+    Mlp b(MlpConfig::linnos(), rng_);
+    LakeMlp ga(a, lake_.lib(), false, 64);
+    LakeMlp gb(b, lake_.lib(), false, 64);
+    for (int round = 0; round < 4; ++round) {
+        Matrix x = randomBatch(32, 31);
+        EXPECT_EQ(ga.classify(x), a.classify(x));
+        EXPECT_EQ(gb.classify(x), b.classify(x));
+        Matrix logits;
+        ASSERT_EQ(launchMlp(lake_.lib(), ga.deviceModel(), x, 2, &logits),
+                  CuResult::Success);
+        EXPECT_TRUE(sameBits(logits, a.forward(x)));
+        ASSERT_EQ(launchMlp(lake_.lib(), gb.deviceModel(), x, 2, &logits),
+                  CuResult::Success);
+        EXPECT_TRUE(sameBits(logits, b.forward(x)));
+    }
+}
+
+TEST_F(BackendsTest, MoreModelsThanKeptStillMatch)
+{
+    // Six models round-robin: more than a thread keeps decoded, so
+    // launches evict and re-decode; every answer must stay exact.
+    std::vector<Mlp> nets;
+    for (int i = 0; i < 6; ++i)
+        nets.emplace_back(i % 2 ? MlpConfig::kml() : MlpConfig::linnos(),
+                          rng_);
+    std::vector<std::unique_ptr<LakeMlp>> gpus;
+    for (const Mlp &n : nets)
+        gpus.push_back(
+            std::make_unique<LakeMlp>(n, lake_.lib(), false, 64));
+    for (int round = 0; round < 3; ++round) {
+        Matrix x = randomBatch(16, 31);
+        for (std::size_t i = 0; i < nets.size(); ++i)
+            EXPECT_EQ(gpus[i]->classify(x), nets[i].classify(x))
+                << "model " << i << " round " << round;
+    }
+}
+
+TEST_F(BackendsTest, CorruptedResidentModelFailsAndCallerFallsBack)
+{
+    Mlp net(MlpConfig::linnos(), rng_);
+    CpuMlp cpu(net, lake_.kernelCpu());
+    LakeMlp gpu(net, lake_.lib(), false, 64);
+    Matrix x = randomBatch(32, 31);
+    ASSERT_EQ(gpu.classify(x), net.classify(x)); // decoded and kept
+
+    std::uint32_t bad_magic = 0xdeadbeefU;
+    ASSERT_EQ(lake_.lib().cuMemcpyHtoD(gpu.deviceModel(), &bad_magic, 4),
+              CuResult::Success);
+    Matrix logits;
+    EXPECT_EQ(launchMlp(lake_.lib(), gpu.deviceModel(), x, 2, &logits),
+              CuResult::LaunchFailed);
+    Result<std::vector<int>> r = gpu.tryClassify(x);
+    ASSERT_FALSE(r.isOk());
+    EXPECT_NE(r.status().toString().find("CUDA_ERROR_LAUNCH_FAILED"),
+              std::string::npos)
+        << r.status().toString();
+    EXPECT_EQ(cpu.classify(x), net.classify(x)); // the fallback
+}
+
+TEST_F(BackendsTest, TruncatedCopyOfResidentModelFails)
+{
+    // A blob one float short at a new address holds a kept model's
+    // header and all but its last bytes; it must not be served.
+    Mlp net(MlpConfig::linnos(), rng_);
+    LakeMlp gpu(net, lake_.lib(), false, 64);
+    Matrix x = randomBatch(32, 31);
+    ASSERT_EQ(gpu.classify(x), net.classify(x));
+
+    std::vector<std::uint8_t> blob = net.serialize();
+    DevicePtr d_short = 0;
+    ASSERT_EQ(lake_.lib().cuMemAlloc(&d_short, blob.size() - 4),
+              CuResult::Success);
+    ASSERT_EQ(lake_.lib().cuMemcpyHtoD(d_short, blob.data(),
+                                       blob.size() - 4),
+              CuResult::Success);
+    Matrix logits;
+    EXPECT_EQ(launchMlp(lake_.lib(), d_short, x, 2, &logits),
+              CuResult::LaunchFailed);
+    lake_.lib().cuMemFree(d_short);
+    EXPECT_EQ(gpu.classify(x), net.classify(x));
+}
+
+TEST(ResidentModelThreadsTest, TwoStacksClassifyConcurrently)
+{
+    // Each thread runs its own stack and model; kernel bodies on both
+    // threads keep decoded models at once (run under TSan).
+    registerMlKernels();
+    auto worker = [](std::uint64_t seed, bool *ok) {
+        core::Lake lake;
+        Rng rng(seed);
+        Mlp net(MlpConfig::linnos(), rng);
+        LakeMlp gpu(net, lake.lib(), false, 32);
+        Matrix x(32, net.config().input);
+        bool all = true;
+        for (int round = 0; round < 40; ++round) {
+            for (std::size_t i = 0; i < x.size(); ++i)
+                x.data()[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+            all = all && gpu.classify(x) == net.classify(x);
+        }
+        *ok = all;
+    };
+    bool ok0 = false, ok1 = false;
+    std::thread t0(worker, 11, &ok0);
+    std::thread t1(worker, 12, &ok1);
+    t0.join();
+    t1.join();
+    EXPECT_TRUE(ok0);
+    EXPECT_TRUE(ok1);
 }
 
 } // namespace
