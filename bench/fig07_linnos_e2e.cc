@@ -99,32 +99,6 @@ main()
         std::printf("  (%.1f%%/%.0f%%)\n", last_reroute, last_gpu);
     }
 
-    // Opt-in streamed arm (LAKE_STREAMS=K): reruns the NN-LAKE column
-    // with the streaming DMA orchestrator (DESIGN.md §10) splitting
-    // each inference batch across K streams with pooled buffers.
-    // Nothing prints unless the environment asks, so the default
-    // stdout stays byte-identical.
-    remote::StreamingConfig scfg;
-    scfg.applyEnv();
-    if (scfg.enabled) {
-        std::printf("\nstreaming DMA arm (LAKE_STREAMS=%u)\n",
-                    scfg.streams);
-        std::printf("%-9s %9s %9s\n", "workload", "NN LAKE", "NN strm");
-        for (const Workload &w : workloads) {
-            E2eConfig cfg;
-            cfg.mode = E2eMode::LakeNn;
-            cfg.duration = kDuration;
-            cfg.threshold_us = train.threshold_us;
-            cfg.model = &models[0];
-            cfg.gpu_batch_threshold = gpu_threshold[0];
-            E2eResult plain = runE2e(w.traces, cfg);
-            cfg.streaming = scfg;
-            E2eResult strm = runE2e(w.traces, cfg);
-            std::printf("%-9s %9.1f %9.1f\n", w.name,
-                        plain.avg_read_lat_us, strm.avg_read_lat_us);
-        }
-    }
-
     bench::expectation(
         "single-trace workloads on modern NVMes see little or no "
         "benefit (the NN cost can even hurt); mixed workloads that "

@@ -86,28 +86,6 @@ main()
             h.write_mbps);
     }
 
-    // Opt-in streamed arm (LAKE_STREAMS=K): reruns the LAKE column
-    // with the cipher's batched path — extents pipelined depth-1
-    // across K streams from pooled [ctl|data] slots, double-buffered
-    // against the lower FS (DESIGN.md §10). Prints nothing unless the
-    // environment asks, so the default stdout stays byte-identical.
-    remote::StreamingConfig scfg;
-    scfg.applyEnv();
-    if (scfg.enabled) {
-        remote::StreamOrchestrator orch(lake.lib(), lake.clock(), scfg);
-        gpu.enableStreaming(&orch);
-        std::printf("\nstreaming DMA arm (LAKE_STREAMS=%u)\n",
-                    scfg.streams);
-        std::printf("%-8s | %8s %8s\n", "block", "STRM rd", "STRM wr");
-        for (std::size_t block = 4 << 10; block <= (4u << 20);
-             block *= 2) {
-            Throughput s = measure(gpu, lake.clock(), block, data);
-            std::printf("%5zuK   | %8.0f %8.0f\n", block / 1024,
-                        s.read_mbps, s.write_mbps);
-        }
-        gpu.enableStreaming(nullptr);
-    }
-
     bench::expectation(
         "CPU flat ~142 MB/s read / 136 write (crypto-bound); AES-NI "
         "peaks ~670/560; LAKE overtakes AES-NI once per-extent remoting "

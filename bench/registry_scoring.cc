@@ -213,7 +213,6 @@ main(int argc, char **argv)
     cfg.enabled = true;
     cfg.max_batch = max_batch;
     cfg.queue_capacity = max_batch * 4;
-    cfg.applyEnv();
     Status st = mgr.enableScoring(cfg);
     if (!st.isOk()) {
         std::fprintf(stderr, "enableScoring: %s\n",

@@ -269,7 +269,6 @@ runOne(const std::string &tag, double load, double capacity_rps,
     }
 
     serve::ServeConfig cfg;
-    cfg.enabled = true;
     cfg.tenants = tenants;
     cfg.rate_rps = r.offered_rps / static_cast<double>(tenants);
     cfg.seed = 0x1a4e + static_cast<std::uint64_t>(load * 1000.0);
@@ -283,7 +282,6 @@ runOne(const std::string &tag, double load, double capacity_rps,
     cfg.pump_interval = 50_us;
     cfg.shards = kShards;
     cfg.trace_path = trace_path;
-    cfg.applyEnv();
 
     serve::TrafficGenerator gen(st.mgr, st.clock, cfg, kSys, st.shards);
     Rng fv_rng(0xfeedull);
@@ -351,18 +349,8 @@ main(int argc, char **argv)
             out_path = argv[i];
     }
 
-    std::size_t tenants = smoke ? 40 : 200;
+    const std::size_t tenants = smoke ? 40 : 200;
     const std::size_t target_arrivals = smoke ? 15000 : 150000;
-    {
-        // Honor LAKE_SERVE_TENANTS sweep-wide: the per-tenant rate
-        // math and the generated skew trace must agree with the count
-        // runOne's own applyEnv() will land on, or the trace names
-        // tenants that do not exist.
-        serve::ServeConfig probe;
-        probe.tenants = tenants;
-        probe.applyEnv();
-        tenants = probe.tenants;
-    }
 
     bench::banner("BENCH serving",
                   "open-loop multi-tenant SLO sweep: token-bucket "

@@ -19,10 +19,4 @@ envSize(const char *name)
     return static_cast<std::size_t>(parsed);
 }
 
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    return envSize(name).value_or(fallback);
-}
-
 } // namespace lake::base

@@ -3,12 +3,12 @@
 
 /**
  * @file
- * Strict parsing of the LAKE_* environment knobs.
+ * Strict parsing of a numeric environment variable (LAKE_CPU_THREADS).
  *
- * A knob's value counts only when it is a plain non-negative decimal
+ * A value counts only when it is a plain non-negative decimal
  * integer: digits and nothing else, no sign, no whitespace, no unit
  * suffix, no overflow. Anything else is ignored, so a typo such as
- * LAKE_STREAMS=4x or LAKE_POOL_BUFFERS=16k never half-applies.
+ * LAKE_CPU_THREADS=4x never half-applies.
  */
 
 #include <cstddef>
@@ -18,10 +18,6 @@ namespace lake::base {
 
 /** Env var @p name as a size; nullopt when unset, empty or malformed. */
 std::optional<std::size_t> envSize(const char *name);
-
-/** Env var @p name as a size; @p fallback when unset, empty or
- *  malformed. */
-std::size_t envSize(const char *name, std::size_t fallback);
 
 } // namespace lake::base
 

@@ -23,9 +23,7 @@ Lake::Lake(LakeConfig config)
         obs::Tracer::global().bindClock(&clock_);
     lib_.setRetryPolicy(config.retry);
     lib_.setPipeline(config.pipeline);
-    // The serving front end dispatches through the scoring service,
-    // so enabling serving implies enabling scoring.
-    if (config_.scoring.enabled || config_.serving.enabled) {
+    if (config_.scoring.enabled) {
         Status s = registries_.enableScoring(config_.scoring);
         LAKE_ASSERT(s.isOk(), "scoring service boot failed: %s",
                     s.message().c_str());
@@ -40,7 +38,8 @@ Lake::Lake(LakeConfig config)
         health_.observe(s, config_.degrade_threshold, "lake");
     });
     if (config_.fleet.enabled) {
-        fleet_ = std::make_unique<gpu::DeviceFleet>(config_.fleet);
+        fleet_ = std::make_unique<gpu::DeviceFleet>(config_.fleet.devices,
+                                                     config_.device);
         remote::ShardParams params;
         params.channel = config_.channel;
         params.shm_bytes = config_.shm_bytes;

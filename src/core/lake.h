@@ -32,7 +32,6 @@
 #include "policy/policy.h"
 #include "registry/manager.h"
 #include "remote/daemon.h"
-#include "serve/serve.h"
 #include "remote/lakelib.h"
 #include "remote/streampool.h"
 #include "shm/arena.h"
@@ -86,22 +85,13 @@ struct LakeConfig
      */
     remote::StreamingConfig streaming;
     /**
-     * Multi-tenant serving front end (DESIGN.md §11), default off.
-     * When serving.enabled is true, boot brings up the scoring
-     * service the generator dispatches through (using the `scoring`
-     * knobs above even if scoring.enabled was left false); the
-     * TrafficGenerator itself is constructed by the application once
-     * its shard registries exist. While false nothing changes.
-     */
-    serve::ServeConfig serving;
-    /**
      * Sharded multi-device fleet (DESIGN.md §13), default off: with
      * fleet.enabled false no extra device, shard, or router is
      * constructed and the single-device stack above is bit-identical
      * to the pre-fleet runtime. When enabled, boot builds
-     * fleet.devices simulated devices in disjoint VA windows,
-     * fleet.shards lakeD worker shards over them, and a FleetRouter
-     * whose policies place work per device.
+     * fleet.devices simulated devices, each modeled by `device`, in
+     * disjoint VA windows, fleet.shards lakeD worker shards over
+     * them, and a FleetRouter whose policies place work per device.
      */
     gpu::FleetConfig fleet;
 };

@@ -5,13 +5,10 @@
  * @file
  * Multi-device backend: a fleet of simulated accelerators.
  *
- * A DeviceFleet owns N Device instances carved out of disjoint VA
- * windows (Device::kVaWindow apart), each optionally scaled by a
- * MIG-style weight fraction — a 0.5 weight halves memory capacity and
- * every throughput number while fixed overheads stay put, which is how
- * real MIG slices behave. The fleet is pure state: shard daemons and
- * the placement policy (src/remote/fleet.h, src/policy) decide who
- * talks to which device.
+ * A DeviceFleet owns N identical Device instances carved out of
+ * disjoint VA windows (Device::kVaWindow apart). The fleet is pure
+ * state: shard daemons and the placement policy (src/remote/fleet.h,
+ * src/policy) decide who talks to which device.
  *
  * Everything is default-off. FleetConfig.enabled == false constructs
  * nothing anywhere and no virtual-time figure in the repository
@@ -44,31 +41,7 @@ struct FleetConfig
      * must be in [1, devices].
      */
     std::size_t shards = 1;
-
-    /** Performance envelope each device starts from. */
-    DeviceSpec spec = DeviceSpec::a100();
-
-    /**
-     * MIG-style partition weights, one per device; empty means every
-     * device gets the full spec. Weight w scales capacity and all
-     * throughput rates by w (fixed overheads are unchanged). Values
-     * are clamped to (0, 1].
-     */
-    std::vector<double> weights;
-
-    /**
-     * Applies LAKE_FLEET / LAKE_DEVICES / LAKE_SHARDS environment
-     * overrides. Explicit opt-in, same contract as ServeConfig: a
-     * default-constructed Lake never reads the environment.
-     */
-    void applyEnv();
 };
-
-/**
- * Scales @p spec by MIG weight @p w: capacity and sustained rates
- * multiply by w, fixed per-op overheads do not.
- */
-DeviceSpec scaleSpec(DeviceSpec spec, double w);
 
 /**
  * N devices with disjoint VA windows: device i allocates from
@@ -77,7 +50,8 @@ DeviceSpec scaleSpec(DeviceSpec spec, double w);
 class DeviceFleet
 {
   public:
-    explicit DeviceFleet(const FleetConfig &cfg);
+    /** @p devices devices, each modeled by @p spec. */
+    DeviceFleet(std::size_t devices, const DeviceSpec &spec);
 
     DeviceFleet(const DeviceFleet &) = delete;
     DeviceFleet &operator=(const DeviceFleet &) = delete;

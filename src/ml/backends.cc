@@ -394,8 +394,12 @@ LakeKnn::tryClassify(const float *queries, std::size_t n)
 std::vector<int>
 CpuLstm::classify(const std::vector<float> &seqs, std::size_t batch)
 {
+    const LstmConfig &c = model_.config();
+    LAKE_ASSERT(seqs.size() ==
+                    static_cast<std::size_t>(c.seq_len) * c.input * batch,
+                "lstm batch size mismatch");
     cpu_.charge(model_.flopsPerSample() * static_cast<double>(batch));
-    return model_.classifyBatch(seqs, batch);
+    return model_.classifyBatch(seqs.data(), batch);
 }
 
 KleioService::KleioService(remote::LakeDaemon &daemon, const Lstm &model)

@@ -220,8 +220,8 @@ lstmForwardBody(Device &dev, const LaunchConfig &cfg)
     if (!in_p || !out_p)
         return CuResult::LaunchFailed;
 
-    std::vector<float> seqs(in_p, in_p + batch * per);
-    std::vector<int> labels = net->classifyBatch(seqs, batch);
+    // Classify the batch where it sits in device memory.
+    std::vector<int> labels = net->classifyBatch(in_p, batch);
     for (std::size_t i = 0; i < labels.size(); ++i)
         out_p[i] = labels[i];
     return CuResult::Success;

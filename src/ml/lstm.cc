@@ -135,21 +135,18 @@ Lstm::classify(const std::vector<float> &seq) const
 }
 
 std::vector<int>
-Lstm::classifyBatch(const std::vector<float> &seqs, std::size_t batch) const
+Lstm::classifyBatch(const float *seqs, std::size_t batch) const
 {
     std::size_t per =
         static_cast<std::size_t>(config_.seq_len) * config_.input;
-    LAKE_ASSERT(seqs.size() == per * batch,
-                "lstm batch has %zu values, want %zu", seqs.size(),
-                per * batch);
     // Samples are independent: parallel over the batch, one label slot
     // per sample, so results are identical at any thread count.
     std::vector<int> out(batch);
     base::ThreadPool::global().parallelFor(
         0, batch, 1, [&](std::size_t b, std::size_t e) {
             for (std::size_t s = b; s < e; ++s) {
-                std::vector<float> one(seqs.begin() + s * per,
-                                       seqs.begin() + (s + 1) * per);
+                std::vector<float> one(seqs + s * per,
+                                       seqs + (s + 1) * per);
                 out[s] = classify(one);
             }
         });

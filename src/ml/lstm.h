@@ -60,8 +60,11 @@ class Lstm
     /** Argmax class of one sample. */
     int classify(const std::vector<float> &seq) const;
 
-    /** Argmax class per sample of a batch (samples concatenated). */
-    std::vector<int> classifyBatch(const std::vector<float> &seqs,
+    /**
+     * Argmax class per sample of @p batch samples concatenated at
+     * @p seqs (batch x seq_len x input values).
+     */
+    std::vector<int> classifyBatch(const float *seqs,
                                    std::size_t batch) const;
 
     /** FLOPs of one sample's forward pass. */

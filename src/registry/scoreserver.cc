@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "base/env.h"
 #include "base/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -35,19 +34,6 @@ class FlushScope
 };
 
 } // namespace
-
-void
-ScoringConfig::applyEnv()
-{
-    using base::envSize;
-    max_batch = envSize("LAKE_SCORE_MAX_BATCH", max_batch);
-    queue_capacity = envSize("LAKE_SCORE_QUEUE_CAP", queue_capacity);
-    max_delay =
-        static_cast<Nanos>(envSize("LAKE_SCORE_MAX_DELAY_US",
-                                   static_cast<std::size_t>(max_delay / 1000))) *
-        1000ull;
-    shed_oldest = envSize("LAKE_SCORE_SHED", shed_oldest ? 1 : 0) != 0;
-}
 
 ScoreServer::ScoreServer(RegistryManager &mgr, Clock &clock,
                          ScoringConfig cfg)

@@ -89,14 +89,6 @@ struct ScoringConfig
      * (their callbacks observe ResourceExhausted) to make room.
      */
     bool shed_oldest = false;
-
-    /**
-     * Applies LAKE_SCORE_MAX_BATCH / LAKE_SCORE_MAX_DELAY_US /
-     * LAKE_SCORE_QUEUE_CAP / LAKE_SCORE_SHED environment overrides.
-     * Explicit opt-in (benches call it); a default-constructed Lake
-     * never reads the environment.
-     */
-    void applyEnv();
 };
 
 /** Outcome of one async score request, delivered to its callback. */

@@ -3,29 +3,11 @@
 #include <algorithm>
 #include <cstring>
 
-#include "base/env.h"
 #include "base/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace lake::remote {
-void
-StreamingConfig::applyEnv()
-{
-    // LAKE_STREAMS both selects K and flips the master switch:
-    // LAKE_STREAMS=4 enables 4-way streaming, LAKE_STREAMS=0 disables.
-    // A value that does not parse is ignored outright: falling back to
-    // a default here would flip `enabled` on a typo.
-    if (std::optional<std::size_t> n = base::envSize("LAKE_STREAMS")) {
-        enabled = *n > 0;
-        if (*n > 0)
-            streams = static_cast<std::uint32_t>(*n);
-    }
-    pool_buffers = std::max<std::size_t>(
-        1, base::envSize("LAKE_POOL_BUFFERS", pool_buffers));
-    class_bytes = std::max<std::size_t>(
-        64, base::envSize("LAKE_POOL_CLASS_BYTES", class_bytes));
-}
 
 StreamOrchestrator::StreamOrchestrator(LakeLib &lib, Clock &clock,
                                        StreamingConfig cfg)

@@ -64,13 +64,6 @@ struct StreamingConfig
     std::size_t class_bytes = 64ull << 10;
     /** Size classes; class i holds buffers of class_bytes << i. */
     std::size_t size_classes = 3;
-
-    /**
-     * Environment overrides: LAKE_STREAMS, LAKE_POOL_BUFFERS,
-     * LAKE_POOL_CLASS_BYTES. Explicit opt-in only — a bench calls this
-     * when it wants its arms steerable without recompiling.
-     */
-    void applyEnv();
 };
 
 /**

@@ -16,10 +16,9 @@
  * shed-on-pressure, and deficit-round-robin fair sharing of the
  * coalesced GPU/CPU dispatch path.
  *
- * Everything here is default-off (LakeConfig.serving.enabled == false
- * constructs nothing), and all knobs have LAKE_SERVE_* environment
- * overrides applied only by an explicit applyEnv() call — the same
- * opt-in contract as ScoringConfig.
+ * Nothing here runs unless an application constructs a
+ * TrafficGenerator over its own registries, on a Lake booted with
+ * the scoring service (LakeConfig.scoring.enabled).
  */
 
 #include <cstdint>
@@ -31,12 +30,13 @@
 
 namespace lake::serve {
 
-/** Boot-time knobs of the serving front end (LakeConfig.serving). */
+/** Knobs of one TrafficGenerator, set by the application in code. */
 struct ServeConfig
 {
     /**
-     * Master switch. While false nothing is constructed and no
-     * virtual-time number anywhere in the repository changes.
+     * Unread: nothing in the library looks at it. Kept only because
+     * the benchmark harness (lakebench/src/score.cc) still sets it;
+     * delete it with the next change to the benchmark.
      */
     bool enabled = false;
 
@@ -107,17 +107,6 @@ struct ServeConfig
      * non-decreasing; tenant ids beyond `tenants` are rejected.
      */
     std::string trace_path;
-
-    /**
-     * Applies LAKE_SERVE_TENANTS / LAKE_SERVE_RATE_RPS /
-     * LAKE_SERVE_BUCKET_RATE / LAKE_SERVE_BUCKET_BURST /
-     * LAKE_SERVE_QUEUE_CAP / LAKE_SERVE_SHED / LAKE_SERVE_QUANTUM /
-     * LAKE_SERVE_PUMP_US / LAKE_SERVE_RUNAHEAD_US /
-     * LAKE_SERVE_SHARDS / LAKE_SERVE_SEED / LAKE_SERVE_TRACE
-     * environment overrides. Explicit opt-in; a
-     * default-constructed Lake never reads the environment.
-     */
-    void applyEnv();
 };
 
 /** One trace-driven arrival: absolute virtual time plus tenant. */

@@ -114,7 +114,7 @@ class TrafficGenerator
     /**
      * @param mgr    registry owner; scoring service must be enabled
      * @param clock  the shared virtual clock
-     * @param cfg    serving knobs (cfg.enabled is ignored here —
+     * @param cfg    serving knobs (cfg.enabled is unread —
      *               constructing the generator *is* enabling it)
      * @param sys    subsystem the shard registries live under
      * @param shards shard registry names (all must exist in @p mgr);

@@ -73,9 +73,7 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                 "prediction modes need a model");
 
     sim::Simulator simr;
-    core::LakeConfig lake_cfg;
-    lake_cfg.streaming = config.streaming;
-    core::Lake lake(lake_cfg);
+    core::Lake lake;
     E2eResult result;
     PercentileTracker read_lats;
     RunningStat read_stat;
@@ -96,8 +94,6 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
         lake_mlp = std::make_unique<ml::LakeMlp>(
             *config.model, lake.lib(), /*sync_copy=*/false,
             config.batch_max);
-        if (lake.streaming() != nullptr)
-            lake_mlp->enableStreaming(lake.streaming());
     }
     // Arm faults only after the model upload so boot staging is clean;
     // everything from here on must survive a misbehaving channel.

@@ -74,14 +74,6 @@ struct E2eConfig
     bool inject_faults = false;
     /** Fault mix when inject_faults is set. */
     channel::FaultSpec faults{};
-    /**
-     * Streaming DMA orchestration for the GPU inference path
-     * (DESIGN.md §10), default off: LakeNn's classifier then splits
-     * each batch across the orchestrator's streams with pooled
-     * buffers. Off = the classic single-stream path, byte-identical
-     * virtual time.
-     */
-    remote::StreamingConfig streaming{};
 };
 
 /** Per-run measurements (one Fig. 7 bar). */

@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -26,6 +25,7 @@
 #include "base/time.h"
 #include "channel/channel.h"
 #include "channel/fault.h"
+#include "core/lake.h"
 #include "gpu/context.h"
 #include "gpu/device.h"
 #include "gpu/fleet.h"
@@ -47,25 +47,11 @@ using channel::FaultSpec;
 using gpu::CuResult;
 using gpu::DevicePtr;
 
-namespace {
-
-gpu::FleetConfig
-fleetConfig(std::size_t devices, std::size_t shards = 1)
-{
-    gpu::FleetConfig cfg;
-    cfg.enabled = true;
-    cfg.devices = devices;
-    cfg.shards = shards;
-    return cfg;
-}
-
-} // namespace
-
 // ---- bugfix 1: disjoint VA windows ---------------------------------
 
 TEST(DeviceFleetTest, DevicesAllocateFromDisjointVaWindows)
 {
-    gpu::DeviceFleet fleet(fleetConfig(2));
+    gpu::DeviceFleet fleet(2, gpu::DeviceSpec::a100());
     DevicePtr p0 = 0, p1 = 0;
     ASSERT_EQ(fleet.at(0).memAlloc(&p0, 4096), CuResult::Success);
     ASSERT_EQ(fleet.at(1).memAlloc(&p1, 4096), CuResult::Success);
@@ -96,7 +82,7 @@ TEST(DeviceFleetTest, DevicesAllocateFromDisjointVaWindows)
 TEST(DeviceFleetTest, CrossDevicePointerIsRejectedAtLaunch)
 {
     Clock clock;
-    gpu::DeviceFleet fleet(fleetConfig(2));
+    gpu::DeviceFleet fleet(2, gpu::DeviceSpec::a100());
     gpu::GpuContext ctx0(fleet.at(0), clock);
     gpu::GpuContext ctx1(fleet.at(1), clock);
 
@@ -126,43 +112,32 @@ TEST(DeviceFleetTest, CrossDevicePointerIsRejectedAtLaunch)
               CuResult::InvalidValue);
 }
 
-TEST(DeviceFleetTest, MigWeightsScaleRatesNotOverheads)
+TEST(DeviceFleetTest, LakeBootsFleetDevicesFromConfiguredSpec)
 {
-    gpu::FleetConfig cfg = fleetConfig(2);
-    cfg.weights = {1.0, 0.5};
-    gpu::DeviceFleet fleet(cfg);
-    const gpu::DeviceSpec &full = fleet.at(0).spec();
-    const gpu::DeviceSpec &half = fleet.at(1).spec();
-    EXPECT_DOUBLE_EQ(half.effective_gflops, full.effective_gflops * 0.5);
-    EXPECT_DOUBLE_EQ(half.pcie_gbps, full.pcie_gbps * 0.5);
-    EXPECT_EQ(half.mem_capacity, full.mem_capacity / 2);
-    // Fixed costs are per-operation, not per-slice.
-    EXPECT_EQ(half.launch_overhead, full.launch_overhead);
-    EXPECT_EQ(half.transfer_overhead, full.transfer_overhead);
-}
-
-TEST(DeviceFleetTest, EnvKnobsApplyOnRequest)
-{
-    ::setenv("LAKE_FLEET", "1", 1);
-    ::setenv("LAKE_DEVICES", "4", 1);
-    ::setenv("LAKE_SHARDS", "8", 1); // clamped to devices
-    gpu::FleetConfig cfg;
-    cfg.applyEnv();
-    ::unsetenv("LAKE_FLEET");
-    ::unsetenv("LAKE_DEVICES");
-    ::unsetenv("LAKE_SHARDS");
-    EXPECT_TRUE(cfg.enabled);
-    EXPECT_EQ(cfg.devices, 4u);
-    EXPECT_EQ(cfg.shards, 4u);
-    // A default-constructed config never reads the environment.
-    EXPECT_FALSE(gpu::FleetConfig{}.enabled);
+    // The fleet used to model every device on its own FleetConfig
+    // spec (an A100), silently ignoring LakeConfig::device.
+    core::LakeConfig cfg;
+    cfg.device = gpu::DeviceSpec::modest();
+    cfg.fleet.enabled = true;
+    cfg.fleet.devices = 2;
+    core::Lake lake(cfg);
+    ASSERT_NE(lake.fleet(), nullptr);
+    ASSERT_EQ(lake.fleet()->size(), 2u);
+    const gpu::DeviceSpec want = gpu::DeviceSpec::modest();
+    for (std::size_t d = 0; d < 2; ++d) {
+        const gpu::DeviceSpec &got = lake.fleet()->at(d).spec();
+        EXPECT_EQ(got.name, want.name) << "device " << d;
+        EXPECT_EQ(got.mem_capacity, want.mem_capacity) << "device " << d;
+        EXPECT_DOUBLE_EQ(got.effective_gflops, want.effective_gflops)
+            << "device " << d;
+    }
 }
 
 // ---- bugfix 2: per-shard degradation -------------------------------
 
 TEST(ShardFleetTest, OneSickShardDoesNotDegradeTheFleet)
 {
-    gpu::DeviceFleet fleet(fleetConfig(2, 2));
+    gpu::DeviceFleet fleet(2, gpu::DeviceSpec::a100());
     remote::ShardParams params;
     params.degrade_threshold = 3;
     remote::ShardFleet shards(fleet, 2, params);
@@ -265,7 +240,7 @@ TEST(FleetPlacementPolicyTest, PerDeviceSmoothersSteerBetweenDevices)
 
 TEST(ShardFleetTest, CuSetDeviceTargetsTheActivatedDevice)
 {
-    gpu::DeviceFleet fleet(fleetConfig(2, 1));
+    gpu::DeviceFleet fleet(2, gpu::DeviceSpec::a100());
     remote::ShardParams params;
     remote::ShardFleet shards(fleet, 1, params);
     ASSERT_EQ(shards.shard(0).deviceCount(), 2u);
@@ -330,7 +305,7 @@ TEST(ShardFleetTest, OneDeviceFleetIsBitIdenticalToPlainStack)
     // ...versus a 1-device, 1-shard fleet routed by the placement
     // policy. Identical decisions, scores, wire traffic and virtual
     // time are the acceptance bar for fleet-off-by-default.
-    gpu::DeviceFleet fleet(fleetConfig(1, 1));
+    gpu::DeviceFleet fleet(1, gpu::DeviceSpec::a100());
     remote::ShardParams params;
     remote::ShardFleet shards(fleet, 1, params);
     remote::FleetRouter router(shards,
@@ -395,7 +370,7 @@ TEST(ShardFleetTest, OneDeviceFleetIsBitIdenticalToPlainStack)
 TEST(ShardFleetTest, ConcurrentShardDispatchUnderMultiTenantLoad)
 {
     constexpr std::size_t kShards = 4;
-    gpu::DeviceFleet fleet(fleetConfig(kShards, kShards));
+    gpu::DeviceFleet fleet(kShards, gpu::DeviceSpec::a100());
     remote::ShardParams params;
     remote::ShardFleet shards(fleet, kShards, params);
     remote::FleetRouter router(shards,
@@ -453,7 +428,6 @@ TEST(ShardFleetTest, ConcurrentShardDispatchUnderMultiTenantLoad)
         ASSERT_TRUE(mgr.enableScoring(scfg).isOk());
 
         serve::ServeConfig cfg;
-        cfg.enabled = true;
         cfg.tenants = 8;
         cfg.rate_rps = 20000.0;
         cfg.seed = 0x1a4e + k;

@@ -234,7 +234,7 @@ TEST_F(BackendsTest, KleioServiceMatchesHostLstm)
         v = static_cast<float>(rng_.uniform(0.0, 1.0));
 
     std::vector<int> got = kleio.classify(lake_.lib(), seqs, batch);
-    EXPECT_EQ(got, net.classifyBatch(seqs, batch));
+    EXPECT_EQ(got, net.classifyBatch(seqs.data(), batch));
 }
 
 TEST_F(BackendsTest, KleioChargesTensorFlowOverhead)

@@ -347,7 +347,7 @@ TEST(LstmTest, BatchMatchesSingles)
     Lstm net(cfg, rng);
 
     std::vector<float> batch = {0.1f, 0.2f, 0.3f, 0.9f, 0.8f, 0.7f};
-    auto labels = net.classifyBatch(batch, 2);
+    auto labels = net.classifyBatch(batch.data(), 2);
     EXPECT_EQ(labels[0], net.classify({0.1f, 0.2f, 0.3f}));
     EXPECT_EQ(labels[1], net.classify({0.9f, 0.8f, 0.7f}));
 }

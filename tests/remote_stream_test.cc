@@ -570,67 +570,6 @@ TEST(ArenaHighwaterTest, PoolCarveCyclesHoldHighwaterFlat)
 // Config plumbing
 // ---------------------------------------------------------------------
 
-TEST(StreamingConfigTest, ApplyEnvDrivesTheMasterSwitch)
-{
-    StreamingConfig sc;
-    ASSERT_FALSE(sc.enabled);
-
-    ::setenv("LAKE_STREAMS", "8", 1);
-    ::setenv("LAKE_POOL_BUFFERS", "16", 1);
-    ::setenv("LAKE_POOL_CLASS_BYTES", "131072", 1);
-    sc.applyEnv();
-    EXPECT_TRUE(sc.enabled);
-    EXPECT_EQ(sc.streams, 8u);
-    EXPECT_EQ(sc.pool_buffers, 16u);
-    EXPECT_EQ(sc.class_bytes, 131072u);
-
-    ::setenv("LAKE_STREAMS", "0", 1);
-    sc.applyEnv();
-    EXPECT_FALSE(sc.enabled);
-
-    ::unsetenv("LAKE_STREAMS");
-    ::unsetenv("LAKE_POOL_BUFFERS");
-    ::unsetenv("LAKE_POOL_CLASS_BYTES");
-    StreamingConfig untouched;
-    untouched.applyEnv();
-    EXPECT_FALSE(untouched.enabled);
-}
-
-TEST(StreamingConfigTest, MalformedStreamsValueIsIgnored)
-{
-    // An unparsable LAKE_STREAMS must not flip the master switch via
-    // the numeric fallback — a typo would silently enable streaming.
-    ::setenv("LAKE_STREAMS", "abc", 1);
-    StreamingConfig sc;
-    sc.applyEnv();
-    EXPECT_FALSE(sc.enabled);
-    EXPECT_EQ(sc.streams, 4u);
-
-    // ...and must not disable (or re-size) an explicitly enabled one.
-    StreamingConfig on;
-    on.enabled = true;
-    on.streams = 2;
-    on.applyEnv();
-    EXPECT_TRUE(on.enabled);
-    EXPECT_EQ(on.streams, 2u);
-    ::unsetenv("LAKE_STREAMS");
-}
-
-TEST(StreamingConfigTest, TrailingGarbageIsIgnored)
-{
-    // "4x" and "16k" are typos, not 4 and 16: neither may switch
-    // streaming on nor resize the pool.
-    ::setenv("LAKE_STREAMS", "4x", 1);
-    ::setenv("LAKE_POOL_BUFFERS", "16k", 1);
-    StreamingConfig sc;
-    const std::size_t buffers = sc.pool_buffers;
-    sc.applyEnv();
-    EXPECT_FALSE(sc.enabled);
-    EXPECT_EQ(sc.pool_buffers, buffers);
-    ::unsetenv("LAKE_STREAMS");
-    ::unsetenv("LAKE_POOL_BUFFERS");
-}
-
 TEST(StreamingConfigTest, LakeConstructsOrchestratorOnlyWhenEnabled)
 {
     core::Lake plain;
