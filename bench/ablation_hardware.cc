@@ -58,11 +58,11 @@ main()
     // ---- (a) GPU generation ------------------------------------------
     std::printf("(a) LinnOS-NN crossover batch by accelerator:\n");
     {
-        core::Lake a100;
+        core::Lake a100(core::LakeConfig::paper());
         std::printf("    %-36s %zu\n", a100.device().spec().name.c_str(),
                     crossoverOn(a100, rng));
 
-        core::LakeConfig cfg;
+        core::LakeConfig cfg = core::LakeConfig::paper();
         cfg.device = gpu::DeviceSpec::modest();
         core::Lake modest(cfg);
         std::printf("    %-36s %zu\n",
@@ -160,7 +160,7 @@ main()
     for (channel::Kind kind :
          {channel::Kind::Signal, channel::Kind::DevRw,
           channel::Kind::Netlink, channel::Kind::Mmap}) {
-        core::LakeConfig cfg;
+        core::LakeConfig cfg = core::LakeConfig::paper();
         cfg.channel = kind;
         core::Lake lake(cfg);
         ml::Mlp model(ml::MlpConfig::linnos(), rng);

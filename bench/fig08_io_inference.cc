@@ -35,7 +35,7 @@ main()
     const std::vector<std::size_t> batches = {1,  2,  4,   8,   16,  32,
                                               64, 128, 256, 512, 1024};
 
-    core::Lake lake;
+    core::Lake lake(core::LakeConfig::paper());
     Rng rng(7);
 
     std::printf("%-7s", "batch");

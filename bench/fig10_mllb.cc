@@ -18,7 +18,7 @@ main()
     bench::banner("Fig. 10",
                   "MLLB load-balance inference time vs batch size (us)");
 
-    core::Lake lake;
+    core::Lake lake(core::LakeConfig::paper());
     Rng rng(17);
 
     // A trained model, produced the way the paper's MLLB port was:

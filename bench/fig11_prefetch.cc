@@ -19,7 +19,7 @@ main()
     bench::banner("Fig. 11",
                   "KML readahead classification time vs batch size (us)");
 
-    core::Lake lake;
+    core::Lake lake(core::LakeConfig::paper());
     Rng rng(19);
 
     auto dataset = fs::buildPrefetchDataset(100, 256, rng);

@@ -53,7 +53,7 @@ main()
                   "eCryptfs sequential throughput (MB/s) vs block size "
                   "and cipher engine");
 
-    core::Lake lake;
+    core::Lake lake(core::LakeConfig::paper());
     std::uint8_t key[32];
     for (int i = 0; i < 32; ++i)
         key[i] = static_cast<std::uint8_t>(i * 7 + 3);

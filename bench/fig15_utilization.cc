@@ -51,7 +51,7 @@ main()
     std::vector<UtilRow> rows;
 
     auto run = [&](const char *label, bool lake_engine, bool use_ni) {
-        core::Lake lake;
+        core::Lake lake(core::LakeConfig::paper());
         gpu::CpuSpec cpu_spec = lake.config().cpu;
         std::unique_ptr<crypto::CipherEngine> engine;
         if (lake_engine) {

@@ -169,12 +169,12 @@ runWorkload(bool pipelined, std::size_t max_batch, std::size_t bursts,
     RunResult out;
     for (std::size_t rep = 0; rep < reps; ++rep) {
         Rig rig;
-        if (pipelined) {
-            remote::PipelineConfig p;
-            p.enabled = true;
-            p.max_batch = max_batch;
-            rig.lib.setPipeline(p);
-        }
+        // Set both ways: pipelining is on by default, and the
+        // unbatched arm must send one message per command.
+        remote::PipelineConfig p;
+        p.enabled = pipelined;
+        p.max_batch = max_batch;
+        rig.lib.setPipeline(p);
         std::unique_ptr<remote::StreamOrchestrator> orch;
         if (streams > 0) {
             remote::StreamingConfig sc;

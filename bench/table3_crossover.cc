@@ -49,7 +49,7 @@ main()
     bench::banner("Table 3",
                   "crossover batch size where the GPU becomes profitable");
 
-    core::Lake lake;
+    core::Lake lake(core::LakeConfig::paper());
     Rng rng(11);
     const std::vector<std::size_t> pow2 = {1,  2,  4,   8,   16,  32,
                                            64, 128, 256, 512, 1024};

@@ -15,7 +15,7 @@ using namespace lake;
 int
 main()
 {
-    core::Lake lake;
+    core::Lake lake(core::LakeConfig::paper());
     std::uint8_t key[32];
     for (int i = 0; i < 32; ++i)
         key[i] = static_cast<std::uint8_t>(0xA5 ^ i);

@@ -17,7 +17,7 @@ main()
 {
     // 1. Boot the runtime: lakeShm, the Netlink command channel, lakeD,
     //    lakeLib and the simulated A100, all sharing one virtual clock.
-    core::Lake lake;
+    core::Lake lake(core::LakeConfig::paper());
     auto &lib = lake.lib();      // the kernel-space view (lakeLib)
     auto &arena = lake.arena();  // lakeShm
 

@@ -57,10 +57,10 @@ struct LakeConfig
     /** Retry policy installed into lakeLib at boot. */
     remote::RetryPolicy retry;
     /**
-     * Command pipelining installed into lakeLib at boot (default off:
-     * one message + doorbell per command, the pre-pipelining behavior,
-     * so existing virtual-time numbers are unchanged unless a caller
-     * opts in).
+     * Command pipelining installed into lakeLib (and every fleet
+     * shard's lakeLib) at boot. On by default: a batch's one-way
+     * commands ride its closing synchronizing call, one message and
+     * one doorbell per round trip. paper() turns it off.
      */
     remote::PipelineConfig pipeline;
     /**
@@ -94,6 +94,20 @@ struct LakeConfig
      * them, and a FleetRouter whose policies place work per device.
      */
     gpu::FleetConfig fleet;
+
+    /**
+     * The paper's remoting: every command is its own Netlink message
+     * and doorbell (pipelining off). The figure and table
+     * reproductions boot with it so their virtual-time numbers are the
+     * paper's; everything else matches the defaults.
+     */
+    static LakeConfig
+    paper()
+    {
+        LakeConfig c;
+        c.pipeline.enabled = false;
+        return c;
+    }
 };
 
 /** Remoting-health counters surfaced for tests and benches. */

@@ -249,7 +249,9 @@ LakeGpuCipher::run(bool encrypt, const std::uint8_t iv[kGcmIvBytes],
         .arg(static_cast<std::uint64_t>(key_bytes_), nullptr);
     check(lib_.cuLaunchKernel(cfg, 0), "launch aes_gcm");
 
-    check(lib_.cuMemcpyDtoHShm(h_buf_, d_buf_, len), "buf DtoH");
+    // The ctl read-back is the closing sync; with pipelining on the
+    // whole extent (copies, launch, data DtoH) rides its message.
+    check(lib_.cuMemcpyDtoHShmOrdered(h_buf_, d_buf_, len), "buf DtoH");
     check(lib_.cuMemcpyDtoHShm(h_ctl_, d_ctl_, kCtlBytes), "ctl DtoH");
 
     std::memcpy(out, arena_.at(h_buf_), len);

@@ -134,8 +134,10 @@ LakeMlp::tryClassify(const Matrix &x)
     std::memcpy(arena_.at(h_in_), x.data(), in_bytes);
 
     if (sync_copy_) {
-        if (Status s = cuStatus(lib_.cuMemcpyHtoDShm(d_in_, h_in_,
-                                                     in_bytes),
+        // On stream 0 ahead of the launch; with pipelining on it rides
+        // the closing DtoH's message.
+        if (Status s = cuStatus(lib_.cuMemcpyHtoDShmOrdered(d_in_, h_in_,
+                                                            in_bytes),
                                 "sync HtoD");
             !s.isOk())
             return s;
@@ -352,8 +354,8 @@ LakeKnn::tryClassify(const float *queries, std::size_t n)
     std::memcpy(arena_.at(h_io_), queries, q_bytes);
 
     if (sync_copy_) {
-        if (Status s = cuStatus(lib_.cuMemcpyHtoDShm(d_queries_, h_io_,
-                                                     q_bytes),
+        if (Status s = cuStatus(lib_.cuMemcpyHtoDShmOrdered(d_queries_,
+                                                            h_io_, q_bytes),
                                 "HtoD");
             !s.isOk())
             return s;

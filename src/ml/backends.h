@@ -103,7 +103,9 @@ class LakeMlp
     /**
      * @param model     model to upload (copied into device memory)
      * @param lib       kernel-side stub library
-     * @param sync_copy true = "LAKE (sync.)": input copy paid inline
+     * @param sync_copy true = "LAKE (sync.)": input copy paid inline,
+     *        on stream 0 ahead of the launch (one-way under pipelining,
+     *        riding the closing DtoH; LakeLib::cuMemcpyHtoDShmOrdered)
      * @param max_batch largest batch classify() will ever see
      */
     LakeMlp(const Mlp &model, remote::LakeLib &lib, bool sync_copy,

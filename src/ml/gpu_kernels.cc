@@ -157,9 +157,9 @@ mlpForwardBody(Device &dev, const LaunchConfig &cfg)
     if (!in || !out)
         return CuResult::LaunchFailed;
 
-    // The forward pass reads the batch where it sits in device memory.
-    Matrix logits = net->forward({MatrixView(in, batch, in_w, in_w)});
-    std::memcpy(out, logits.data(), batch * out_w * sizeof(float));
+    // The forward pass reads the batch where it sits in device memory
+    // and writes the logits straight into the output buffer.
+    net->forwardInto(in, batch, in_w, out);
     return CuResult::Success;
 }
 

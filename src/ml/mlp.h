@@ -61,6 +61,14 @@ class Mlp
     Matrix forward(const Matrix &x) const;
 
     /**
+     * Forward pass of @p n rows at @p x (row stride @p x_stride
+     * floats) straight into caller memory: the (n x output) logits
+     * land in @p y, rows contiguous. Bit-identical to forward().
+     */
+    void forwardInto(const float *x, std::size_t n, std::size_t x_stride,
+                     float *y) const;
+
+    /**
      * Zero-copy forward pass over strided windows: the rows of all
      * views (in order) form the batch. The first layer consumes each
      * view in place — no gather/pack into a contiguous Matrix — and

@@ -59,30 +59,34 @@ struct RetryPolicy
 };
 
 /**
- * Opt-in command pipelining (NVMe-style doorbell coalescing; the AvA
- * batching insight applied to LAKE's one-way traffic).
+ * Command pipelining (NVMe-style doorbell coalescing; the AvA batching
+ * insight applied to LAKE's one-way traffic), on by default.
  *
- * When enabled, one-way commands — kernel launches, async shm memcpys,
- * and (optionally) deferred frees — are queued locally and shipped as a
- * single multi-command batch message at the next flush point: a
- * synchronizing call, any two-way RPC, @ref max_batch queued commands,
- * or an explicit LakeLib::flush(). One doorbell and one channel
- * message then amortize over the whole batch.
+ * One-way commands — kernel launches, async shm memcpys, and
+ * (optionally) deferred frees — are queued locally instead of sent one
+ * message each. The next synchronizing call carries them: its own frame
+ * closes the queued batch, and the whole batch travels as one message
+ * behind one doorbell, so a launch-and-read-back costs one round trip.
+ * The batch also ships on its own at @ref max_batch queued commands or
+ * at an explicit LakeLib::flush().
  *
- * Default off: the fast path changes no virtual-time number unless a
- * caller asks for it.
+ * core::LakeConfig::paper() turns it off: one message and one doorbell
+ * per command, the paper's remoting, which the figure reproductions use
+ * so their virtual-time numbers stay the paper's.
  *
  * Failure semantics (DESIGN.md §6): a batch is one message, lost or
- * delivered as a unit. Its contents are one-way and non-idempotent, so
- * per the RetryPolicy rules it is never re-sent — exactly like an
- * unbatched one-way post, loss surfaces (if at all) at the next
- * synchronizing call, which *does* time out, count faults, and latch
- * degraded mode when the transport is down.
+ * delivered as a unit. Its one-way contents are non-idempotent, so it
+ * is never re-sent. A batch that rides a synchronizing call makes that
+ * call one non-idempotent unit too: it is never retried, and its loss
+ * returns Unavailable to the caller (timeout, fault count, degraded
+ * latch) instead of leaving later calls to read stale device memory.
+ * A batch flushed on its own behaves like an unbatched one-way post:
+ * its loss surfaces, if at all, at the next synchronizing call.
  */
 struct PipelineConfig
 {
     /** Master switch; everything below is inert while false. */
-    bool enabled = false;
+    bool enabled = true;
     /** Queued one-way commands that force a flush (min 1). */
     std::size_t max_batch = 16;
     /**
@@ -147,6 +151,21 @@ class LakeLib
     /** cuMemcpyDtoH into a lakeShm buffer (zero-copy). */
     gpu::CuResult cuMemcpyDtoHShm(shm::ShmOffset dst, gpu::DevicePtr src,
                                   std::size_t bytes);
+    /**
+     * Stream-0 HtoD from lakeShm, ordered before the caller's later
+     * stream-0 work. With pipelining on it is the one-way
+     * cuMemcpyHtoDShmAsync on stream 0 (its failure surfaces at the
+     * next synchronizing call, which it rides); with pipelining off it
+     * is the synchronous cuMemcpyHtoDShm.
+     */
+    gpu::CuResult cuMemcpyHtoDShmOrdered(gpu::DevicePtr dst,
+                                         shm::ShmOffset src,
+                                         std::size_t bytes);
+    /** Stream-0 DtoH into lakeShm; one-way or synchronous like
+     *  cuMemcpyHtoDShmOrdered. */
+    gpu::CuResult cuMemcpyDtoHShmOrdered(shm::ShmOffset dst,
+                                         gpu::DevicePtr src,
+                                         std::size_t bytes);
     /**
      * Async HtoD from lakeShm on @p stream. One-way command: always
      * returns Success; failures surface at the next synchronizing call.
@@ -267,13 +286,19 @@ class LakeLib
      * @p idempotent), wakes the daemon, and returns the response
      * positioned after the verified sequence echo — or the transport
      * error the caller must handle: seq mismatch, short/garbled
-     * response, or timeout. Flushes the pending batch first so queued
-     * one-way commands execute before this call, in submission order.
+     * response, or timeout. When one-way commands are pending the
+     * command joins their batch as its last frame, so they execute
+     * before it, in submission order, and the batch travels in this
+     * call's message; such a call is never retried.
      */
     Result<std::vector<std::uint8_t>> rpc(bool idempotent);
 
-    /** One send/receive attempt of rpc, no retries. */
-    Result<std::vector<std::uint8_t>> attempt(std::uint32_t seq);
+    /**
+     * One send/receive attempt of rpc, no retries: sends @p msg (the
+     * scratch command, or the batch it closes) and waits for @p seq.
+     */
+    Result<std::vector<std::uint8_t>> attempt(const Encoder &msg,
+                                              std::uint32_t seq);
 
     /** Runs an RPC whose response is just a status code. */
     gpu::CuResult statusRpc(bool idempotent);
@@ -284,6 +309,19 @@ class LakeLib
      * message + doorbell otherwise.
      */
     void post();
+
+    /**
+     * Appends the scratch command to the pending batch as a
+     * length-prefixed frame, opening the batch when none is pending.
+     */
+    void enqueue();
+
+    /**
+     * Closes the pending batch for sending: patches its frame count and
+     * counts it as flushed. The bytes stay in batch_enc_ until the next
+     * enqueue() opens a new batch.
+     */
+    void sealBatch();
 
     /** Rings the daemon doorbell (counted). */
     void ring();
@@ -308,9 +346,9 @@ class LakeLib
     /** Scratch encoder for the command being built (reset per call). */
     Encoder cmd_enc_;
     /**
-     * Pending batch: kBatchMagic, a count placeholder patched at
-     * flush, then the queued frames. Reset (capacity retained) after
-     * every flush.
+     * Pending batch: kBatchMagic, a count placeholder patched when the
+     * batch is sealed, then the queued frames. Reset (capacity
+     * retained) when the next batch opens.
      */
     Encoder batch_enc_;
     std::size_t batch_pending_ = 0;

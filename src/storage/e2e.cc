@@ -73,7 +73,7 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                 "prediction modes need a model");
 
     sim::Simulator simr;
-    core::Lake lake;
+    core::Lake lake(core::LakeConfig::paper());
     E2eResult result;
     PercentileTracker read_lats;
     RunningStat read_stat;

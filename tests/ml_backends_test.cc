@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "core/lake.h"
+#include "crypto/engines.h"
 #include "ml/backends.h"
 #include "ml/gpu_kernels.h"
 
@@ -403,6 +404,134 @@ TEST(ResidentModelThreadsTest, TwoStacksClassifyConcurrently)
     t1.join();
     EXPECT_TRUE(ok0);
     EXPECT_TRUE(ok1);
+}
+
+// ---------------------------------------------------------------------
+// Round trips per batch: pipelining (the default) against the paper's
+// one message per command
+// ---------------------------------------------------------------------
+
+/** Doorbells rung and channel messages sent (both directions). */
+struct Crossings
+{
+    std::uint64_t doorbells = 0;
+    std::uint64_t messages = 0;
+};
+
+/** Crossings one call of @p fn makes on @p lake's remoting path. */
+template <typename Fn>
+Crossings
+crossingsOf(core::Lake &lake, Fn &&fn)
+{
+    std::uint64_t d0 = lake.lib().doorbells();
+    std::uint64_t m0 = lake.channel().messagesSent();
+    fn();
+    return {lake.lib().doorbells() - d0,
+            lake.channel().messagesSent() - m0};
+}
+
+TEST(RoundTripTest, MlpBatchIsOneRoundTripByDefault)
+{
+    registerMlKernels();
+    Rng rng(31);
+    Mlp net(MlpConfig::linnos(), rng);
+    core::Lake piped; // default configuration: pipelining on
+    core::Lake paper(core::LakeConfig::paper());
+    LakeMlp piped_mlp(net, piped.lib(), /*sync_copy=*/true, 32);
+    LakeMlp paper_mlp(net, paper.lib(), /*sync_copy=*/true, 32);
+
+    Matrix x(32, net.config().input);
+    for (int round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x.data()[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+        std::vector<int> a, b;
+        // HtoD, launch and DtoH travel as one batch message; its
+        // response is the only message back.
+        Crossings c = crossingsOf(piped, [&] { a = piped_mlp.classify(x); });
+        EXPECT_EQ(c.doorbells, 1u);
+        EXPECT_EQ(c.messages, 2u);
+        // The paper's path: sync HtoD, one-way launch, sync DtoH.
+        c = crossingsOf(paper, [&] { b = paper_mlp.classify(x); });
+        EXPECT_EQ(c.doorbells, 3u);
+        EXPECT_EQ(c.messages, 5u);
+        EXPECT_EQ(a, b);
+        EXPECT_EQ(a, net.classify(x));
+    }
+}
+
+TEST(RoundTripTest, KnnBatchIsOneRoundTripByDefault)
+{
+    registerMlKernels();
+    Rng rng(32);
+    Knn knn(8, 3);
+    std::vector<float> pt(8);
+    for (int i = 0; i < 64; ++i) {
+        for (float &v : pt)
+            v = static_cast<float>(rng.uniform(0.0, 1.0));
+        knn.add(pt.data(), i % 3);
+    }
+    core::Lake piped;
+    core::Lake paper(core::LakeConfig::paper());
+    LakeKnn piped_knn(knn, piped.lib(), /*sync_copy=*/true, 16);
+    LakeKnn paper_knn(knn, paper.lib(), /*sync_copy=*/true, 16);
+
+    std::vector<float> q(16 * 8);
+    for (float &v : q)
+        v = static_cast<float>(rng.uniform(0.0, 1.0));
+    std::vector<int> a, b;
+    EXPECT_EQ(crossingsOf(piped, [&] { a = piped_knn.classify(q.data(), 16); })
+                  .doorbells,
+              1u);
+    EXPECT_EQ(crossingsOf(paper, [&] { b = paper_knn.classify(q.data(), 16); })
+                  .doorbells,
+              3u);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(a, knn.classifyBatch(q.data(), 16));
+}
+
+TEST(RoundTripTest, CipherExtentIsOneRoundTripByDefault)
+{
+    std::uint8_t key[32];
+    for (std::size_t i = 0; i < sizeof key; ++i)
+        key[i] = static_cast<std::uint8_t>(7 * i + 1);
+    constexpr std::size_t kExtent = 4096;
+    core::Lake piped;
+    core::Lake paper(core::LakeConfig::paper());
+    crypto::LakeGpuCipher piped_gcm(key, sizeof key, piped.lib(), kExtent);
+    crypto::LakeGpuCipher paper_gcm(key, sizeof key, paper.lib(), kExtent);
+
+    Rng rng(33);
+    std::vector<std::uint8_t> plain(kExtent);
+    for (std::uint8_t &b : plain)
+        b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    std::uint8_t iv[crypto::kGcmIvBytes] = {9, 8, 7, 6, 5, 4,
+                                            3, 2, 1, 0, 1, 2};
+    std::vector<std::uint8_t> ct_a(kExtent), ct_b(kExtent);
+    std::uint8_t tag_a[crypto::kGcmTagBytes], tag_b[crypto::kGcmTagBytes];
+
+    // ctl + data HtoD, launch and data DtoH ride the ctl DtoH's message.
+    Crossings c = crossingsOf(piped, [&] {
+        piped_gcm.encryptExtent(iv, plain.data(), kExtent, ct_a.data(),
+                                tag_a);
+    });
+    EXPECT_EQ(c.doorbells, 1u);
+    EXPECT_EQ(c.messages, 2u);
+    // The paper's path: three one-way posts and two sync DtoHs.
+    c = crossingsOf(paper, [&] {
+        paper_gcm.encryptExtent(iv, plain.data(), kExtent, ct_b.data(),
+                                tag_b);
+    });
+    EXPECT_EQ(c.doorbells, 5u);
+    EXPECT_EQ(ct_a, ct_b);
+    EXPECT_EQ(std::memcmp(tag_a, tag_b, sizeof tag_a), 0);
+
+    std::vector<std::uint8_t> back(kExtent);
+    c = crossingsOf(piped, [&] {
+        EXPECT_TRUE(piped_gcm.decryptExtent(iv, ct_a.data(), kExtent,
+                                            tag_a, back.data()));
+    });
+    EXPECT_EQ(c.doorbells, 1u);
+    EXPECT_EQ(back, plain);
 }
 
 } // namespace

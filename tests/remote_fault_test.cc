@@ -417,6 +417,120 @@ TEST(TryClassifyTest, MlpSurfacesTransportErrors)
 }
 
 // ---------------------------------------------------------------------
+// A synchronizing call that carries queued one-way commands is one
+// non-idempotent unit (DESIGN.md §6)
+// ---------------------------------------------------------------------
+
+/**
+ * Two 16-row LinnOS batches whose host labels differ in every row, so
+ * labels read back from the wrong batch cannot pass for the right ones.
+ */
+struct DistinctBatches
+{
+    ml::Matrix a{16, ml::MlpConfig::linnos().input};
+    ml::Matrix b{16, ml::MlpConfig::linnos().input};
+};
+
+DistinctBatches
+distinctBatches(const ml::Mlp &net, Rng &rng)
+{
+    DistinctBatches out;
+    std::size_t width = net.config().input;
+    std::size_t filled[2] = {0, 0};
+    ml::Matrix row(1, width);
+    for (int tries = 0; tries < 100000 && (filled[0] < 16 || filled[1] < 16);
+         ++tries) {
+        for (std::size_t c = 0; c < width; ++c)
+            row.data()[c] = static_cast<float>(rng.uniform(-2.0, 2.0));
+        int label = net.classify(row)[0];
+        if (label > 1 || filled[label] == 16)
+            continue;
+        ml::Matrix &dst = label == 0 ? out.a : out.b;
+        std::memcpy(dst.row(filled[label]++), row.data(),
+                    width * sizeof(float));
+    }
+    EXPECT_EQ(filled[0], 16u);
+    EXPECT_EQ(filled[1], 16u);
+    return out;
+}
+
+TEST(CarryingRpcFaultTest, LostBatchMessageFailsTheCallWithoutRetry)
+{
+    // Drop, in turn, the one message that carries the whole batch
+    // (HtoD + launch + DtoH) and the one response to it.
+    for (bool drop_response : {false, true}) {
+        SCOPED_TRACE(drop_response ? "response dropped" : "command dropped");
+        core::LakeConfig cfg;
+        cfg.retry.max_attempts = 4; // a lone DtoH would retry
+        core::Lake lake(cfg);
+        ASSERT_TRUE(lake.config().pipeline.enabled);
+        Rng rng(5);
+        ml::Mlp net(ml::MlpConfig::linnos(), rng);
+        ml::LakeMlp gpu_mlp(net, lake.lib(), /*sync_copy=*/true, 16);
+        ml::CpuMlp cpu_mlp(net, lake.kernelCpu());
+        DistinctBatches batches = distinctBatches(net, rng);
+        ASSERT_EQ(gpu_mlp.classify(batches.a), net.classify(batches.a));
+
+        FaultSpec spec;
+        spec.drop = 1.0;
+        spec.kernel_to_user = !drop_response;
+        spec.user_to_kernel = drop_response;
+        FaultInjector &inj = lake.channel().installFaults(spec);
+        std::uint64_t retries = lake.lib().retries();
+        Result<std::vector<int>> r = gpu_mlp.tryClassify(batches.b);
+        EXPECT_FALSE(r.isOk());
+        EXPECT_EQ(r.status().code(), Code::Unavailable);
+        EXPECT_EQ(lake.lib().retries(), retries);
+        EXPECT_EQ(inj.dropped(), 1u);
+
+        // The caller's CPU fallback scores this batch, not the last.
+        inj.disarm();
+        EXPECT_EQ(cpu_mlp.classify(batches.b), net.classify(batches.b));
+        EXPECT_EQ(gpu_mlp.classify(batches.b), net.classify(batches.b));
+    }
+}
+
+TEST(CarryingRpcFaultTest, SeededDropsNeverYieldAnotherBatchsLabels)
+{
+    // Alternating batches whose labels differ row for row: a launch
+    // lost while the read-back succeeds would return the previous
+    // batch's labels. Every call either scores its own batch or fails
+    // and falls back to the CPU.
+    core::LakeConfig cfg;
+    cfg.retry.max_attempts = 3;
+    core::Lake lake(cfg);
+    Rng rng(5);
+    ml::Mlp net(ml::MlpConfig::linnos(), rng);
+    ml::LakeMlp gpu_mlp(net, lake.lib(), /*sync_copy=*/true, 16);
+    ml::CpuMlp cpu_mlp(net, lake.kernelCpu());
+    DistinctBatches batches = distinctBatches(net, rng);
+    std::vector<int> want[2] = {net.classify(batches.a),
+                                net.classify(batches.b)};
+
+    FaultSpec spec;
+    spec.seed = 77;
+    spec.drop = 0.25;
+    lake.channel().installFaults(spec);
+    int failed = 0, scored = 0;
+    for (int i = 0; i < 60; ++i) {
+        const ml::Matrix &x = i % 2 == 0 ? batches.a : batches.b;
+        Result<std::vector<int>> r = gpu_mlp.tryClassify(x);
+        if (r.isOk()) {
+            ++scored;
+            EXPECT_EQ(r.value(), want[i % 2]) << "batch " << i;
+        } else {
+            ++failed;
+            EXPECT_EQ(r.status().code(), Code::Unavailable);
+            EXPECT_EQ(cpu_mlp.classify(x), want[i % 2]) << "batch " << i;
+        }
+    }
+    lake.channel().faults()->disarm();
+    EXPECT_GT(failed, 0);
+    EXPECT_GT(scored, 0);
+    EXPECT_EQ(lake.lib().retries(), 0u);
+}
+
+// ---------------------------------------------------------------------
 // Malformed-command corpus: lakeD must reject, never crash
 // ---------------------------------------------------------------------
 

@@ -274,7 +274,7 @@ TEST(PipelineFlushTest, ReconfigureFlushesPending)
 
 TEST(PipelineFlushTest, DisabledPipelineSendsPerCommand)
 {
-    core::Lake lake; // default config: pipelining off
+    core::Lake lake(core::LakeConfig::paper()); // pipelining off
     gpu::DevicePtr dev = 0;
     ASSERT_EQ(lake.lib().cuMemAlloc(&dev, 64 * sizeof(float)),
               CuResult::Success);
